@@ -22,7 +22,6 @@ are simulated quantities, so they must match the baseline bit-for-bit.
 
 import gc
 import json
-import multiprocessing
 import sys
 import time
 from pathlib import Path
@@ -44,7 +43,6 @@ from repro.harness.perf import (
     registry_metrics_block,
     render_perf_text,
     run_perf,
-    shard_metrics_block,
 )
 
 BASELINE_PATH = Path(__file__).parent.parent / BENCH_FILENAME
@@ -284,88 +282,23 @@ def test_obs_metrics_match_baseline():
     assert registry_metrics_block(sink[-1]) == base["metrics"]
 
 
-def _obs_legs():
-    """Fast-path obs-overhead legs: vectorized always; sharded where the
-    platform can fork."""
-    legs = [("vector", {"vector": True})]
-    if "fork" in multiprocessing.get_all_start_methods():
-        legs.append(("shards4", {"vector": True, "shards": 4}))
-        legs.append(
-            ("shards4+spec", {"vector": True, "shards": 4, "speculate": True})
-        )
-    return legs
-
-
-SPECULATE_SHAPE = "262144-4-16"
-SPECULATE_SHARDS = 4
-
-
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="sharded engine needs fork-capable multiprocessing",
-)
-def test_speculative_windows_reduce_stalls_at_262k():
-    """The optimistic-window acceptance gate on the 262k macro shape:
-    with speculation on, ``sim.shard.window_stalls`` (now counting only
-    windows that actually rolled back) drops below the conservative
-    protocol's stall count — with zero divergence in any virtual
-    result.  The rollback count itself lands in the BENCH json
-    ``shard_metrics`` block of sharded runs; here it is printed."""
-    results = {}
-    for speculate in (False, True):
-        sink = []
-        res = bench_macro_obs(
-            SPECULATE_SHAPE,
-            registry_sink=sink,
-            shards=SPECULATE_SHARDS,
-            speculate=speculate,
-        )
-        results[speculate] = (res, shard_metrics_block(sink[-1]))
-    cons, cons_sm = results[False]
-    spec, spec_sm = results[True]
-    assert cons["path"] == "vector+sharded" and spec["path"] == "speculative"
-    assert _virtual(cons) == _virtual(spec), (
-        f"speculation changed the virtual outcome: {spec} != {cons}"
+def test_obs_overhead_vector_path():
+    """The obs budget covers the vector fast path, not just the scalar
+    scheduler: attach a registry to a vectorized 1024-rank macro run
+    and bound the live obs-attached / plain wall ratio.  (The committed
+    <= 5 % proof lives in the baseline; the live gate catches a
+    complexity-class regression in the bulk-surface hooks.)"""
+    plain = bench_macro("1024-4-16", vector=True)
+    attached = bench_macro_obs("1024-4-16", vector=True)
+    assert attached == plain, (
+        f"attaching obs changed the virtual outcome ({attached} != {plain})"
     )
-    print(
-        f"\nshard windows at {SPECULATE_SHAPE} (shards={SPECULATE_SHARDS}): "
-        f"conservative stalls={cons_sm['window_stalls']}, speculative "
-        f"stalls={spec_sm['window_stalls']} "
-        f"(rollbacks={spec_sm.get('rollbacks', 0)}, "
-        f"windows={spec_sm.get('speculated_windows', 0)})"
+    plain_wall = _best_wall(lambda: bench_macro("1024-4-16", vector=True))
+    obs_wall = _best_wall(lambda: bench_macro_obs("1024-4-16", vector=True))
+    ratio = obs_wall / plain_wall
+    print(f"\nobs ratio [vector]: {ratio:.3f} "
+          f"(obs {obs_wall:.3f}s / plain {plain_wall:.3f}s)")
+    assert ratio < OBS_PATHOLOGICAL_RATIO, (
+        f"obs-attached macro cost {ratio:.2f}x the plain run "
+        f"— the fast-path hooks regressed far past the 5% budget"
     )
-    assert cons_sm["window_stalls"] > 0, (
-        "the conservative protocol reported no stalls at 262k — the "
-        "gate is vacuous; pick a shape with real cross-shard spread"
-    )
-    assert spec_sm["window_stalls"] < cons_sm["window_stalls"], (
-        f"speculative windows did not reduce stalls: "
-        f"{spec_sm['window_stalls']} vs conservative "
-        f"{cons_sm['window_stalls']}"
-    )
-    assert spec_sm.get("speculated_windows", 0) > 0
-
-
-def test_obs_overhead_vector_and_sharded_paths():
-    """The obs budget covers every execution path, not just the scalar
-    scheduler: attach a registry to a vectorized 1024-rank macro run and
-    to a sharded (``shards=4``) one, and bound the live obs-attached /
-    plain wall ratio.  (The committed <= 5 % proof lives in the
-    baseline; the live gate catches a complexity-class regression in
-    the bulk-surface hooks on either path.)"""
-    for name, kw in _obs_legs():
-        plain = bench_macro("1024-4-16", **kw)
-        attached = bench_macro_obs("1024-4-16", **kw)
-        assert attached == plain, (
-            f"{name}: attaching obs changed the virtual outcome "
-            f"({attached} != {plain})"
-        )
-        plain_wall = _best_wall(lambda: bench_macro("1024-4-16", **kw))
-        obs_wall = _best_wall(lambda: bench_macro_obs("1024-4-16", **kw))
-        ratio = obs_wall / plain_wall
-        print(f"\nobs ratio [{name}]: {ratio:.3f} "
-              f"(obs {obs_wall:.3f}s / plain {plain_wall:.3f}s)")
-        assert ratio < OBS_PATHOLOGICAL_RATIO, (
-            f"{name}: obs-attached macro cost {ratio:.2f}x the plain run "
-            f"— the fast-path hooks regressed far past the 5% budget"
-        )

@@ -24,7 +24,7 @@ import os
 
 import pytest
 
-LINT_PATHS = ["src", "examples", "benchmarks"]
+LINT_PATHS = ["src", "examples", "benchmarks", "perfbench"]
 """Mirrors the ``repro lint`` default path set."""
 
 

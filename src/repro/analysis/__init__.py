@@ -24,7 +24,7 @@ enablement work (Section IV) depends on:
 
 Run the static pass from the shell::
 
-    python -m repro.cli lint src examples benchmarks
+    python -m repro.cli lint src examples benchmarks perfbench
 
 Suppress an intentional pattern inline with ``# repro: noqa(RULE_ID)``
 plus a justifying comment.

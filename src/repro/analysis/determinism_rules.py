@@ -283,9 +283,7 @@ class SpmdRankLoopRule(Rule):
     expressed as numpy operations over the rank axis (the marked code
     may still loop over tree *levels* or cost *classes* — those are
     O(log p) and O(classes), not O(p)).  A ``for r in range(engine.ranks)``
-    reintroduces the O(p) interpreter cost the marker claims is absent,
-    and on the sharded engine it silently reads rank state owned by
-    another shard's time window.
+    reintroduces the O(p) interpreter cost the marker claims is absent.
     """
 
     info = RuleInfo(
@@ -293,8 +291,7 @@ class SpmdRankLoopRule(Rule):
         name="per-rank-loop-in-spmd",
         severity=Severity.WARNING,
         rationale="scalar per-rank loops inside SPMD-vectorized regions "
-        "defeat the fast path's sub-O(p) event count and break shard "
-        "ownership of rank state",
+        "defeat the fast path's sub-O(p) event count",
     )
 
     def applies_to(self, ctx: ModuleContext) -> bool:

@@ -15,7 +15,9 @@
     python -m repro.cli obs diff a.jsonl b.jsonl           # regression gate
 
 Flags of general interest: ``--hours`` (corpus size), ``--iters``
-(simulated HF iterations), ``--seed``.  ``lint`` takes paths plus
+(simulated HF iterations), ``--seed``; each subcommand accepts only
+the flags it reads, so an inapplicable one is a usage error (exit 2).
+``lint`` takes paths plus
 ``--json`` / ``--select`` / ``--rules`` and exits 1 on findings.
 ``perf --json`` writes ``BENCH_sim_vmpi.json`` at the current directory;
 ``perf --faults`` runs the fault-injection sweep instead; ``perf
@@ -23,11 +25,12 @@ Flags of general interest: ``--hours`` (corpus size), ``--iters``
 ``serve`` simulates the inference-serving scenario (arrival process,
 bounded admission queue, dynamic batching, optional autoscaler and
 fault plan) and prints its latency/throughput summary.
-``--obs PATH`` on ``train`` / ``perf`` dumps a JSONL metrics snapshot;
-``trace`` takes a run shape (or a known example script) and writes a
-Chrome trace-event JSON loadable in Perfetto / ``chrome://tracing``.
-``--fault-plan PATH`` on ``train`` / ``trace`` injects a JSON fault plan
-(see ``examples/faults/``).  ``report`` renders one simulated run as a
+``--obs PATH`` on ``train`` / ``perf`` / ``serve`` dumps a JSONL
+metrics snapshot; ``trace`` takes a run shape (or a known example
+script) and writes a Chrome trace-event JSON loadable in Perfetto /
+``chrome://tracing``.  ``--fault-plan PATH`` on ``train`` / ``serve`` /
+``trace`` / ``report`` injects a JSON fault plan (see
+``examples/faults/``).  ``report`` renders one simulated run as a
 self-contained markdown document (configuration, exact time
 attribution, critical path, Fig-4 per-phase breakdown) and with
 ``--counterflow 64,512,4096`` appends the partition-size sweep;
@@ -306,13 +309,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
     ranks = (
         [int(r) for r in args.ranks.split(",") if r] if args.ranks else None
     )
-    payload = run_perf(
-        repeats=args.repeats,
-        quick=args.quick,
-        ranks=ranks,
-        shards=args.shards,
-        speculate=args.speculate,
-    )
+    payload = run_perf(repeats=args.repeats, quick=args.quick, ranks=ranks)
     if args.json:
         out = write_bench_json(payload, args.out or BENCH_FILENAME)
         print(f"wrote {out}")
@@ -635,36 +632,65 @@ def cmd_obs_diff(args: argparse.Namespace) -> int:
     return report.exit_code
 
 
+_SHARED_FLAGS: dict[str, tuple[str, dict]] = {
+    "seed": ("--seed", {"type": int, "default": 0}),
+    "hours": ("--hours", {"type": float, "default": 50.0, "help": "corpus hours"}),
+    "iters": (
+        "--iters",
+        {"type": int, "default": 2, "help": "HF iterations (real or simulated)"},
+    ),
+    "scale": (
+        "--scale",
+        {
+            "type": float,
+            "default": 2e-4,
+            "help": "materialized fraction of the corpus for real-math training",
+        },
+    ),
+    "hidden": ("--hidden", {"type": int, "default": 48, "help": "hidden width"}),
+    "obs": (
+        "--obs",
+        {
+            "default": None,
+            "metavar": "PATH",
+            "help": "write a JSONL metrics dump to PATH",
+        },
+    ),
+    "fault_plan": (
+        "--fault-plan",
+        {
+            "default": None,
+            "metavar": "PATH",
+            "help": "JSON fault plan (see examples/faults/): train demos "
+            "checkpoint-restart from a rank-0 crash; serve crashes "
+            "replicas; trace and report inject the plan into the "
+            "simulated run under the recovery policy",
+        },
+    ),
+}
+"""Flags several subcommands read, keyed by ``args`` attribute; each
+subcommand gets only the ones it reads, so an inapplicable flag is an
+argparse error rather than a silent no-op."""
+
+_SIM_FLAGS = ("seed", "hours", "iters")
+"""What the simulated-experiment commands read (``_script`` + workload)."""
+
+
+def _add_shared(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        flag, kwargs = _SHARED_FLAGS[name]
+        parser.add_argument(flag, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the ``repro`` argument parser with all subcommands."""
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--hours", type=float, default=50.0, help="corpus hours")
-    shared.add_argument("--scale", type=float, default=2e-4,
-                        help="materialized fraction for real-math commands")
-    shared.add_argument("--iters", type=int, default=2,
-                        help="HF iterations (real or simulated)")
-    shared.add_argument("--hidden", type=int, default=48, help="hidden width (train)")
-    shared.add_argument("--seed", type=int, default=0)
-    shared.add_argument(
-        "--obs",
-        default=None,
-        metavar="PATH",
-        help="write a JSONL metrics dump to PATH (train, serve; ignored elsewhere)",
-    )
-    shared.add_argument(
-        "--fault-plan",
-        default=None,
-        metavar="PATH",
-        help="JSON fault plan (see examples/faults/): train demos "
-        "checkpoint-restart from a rank-0 crash; trace injects the plan "
-        "into the simulated run under the recovery policy",
-    )
     parser = argparse.ArgumentParser(
         prog="repro", description="BG/Q Hessian-free DNN training reproduction"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__, parents=[shared])
+    for name, (fn, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=fn.__doc__)
+        _add_shared(p, *flags)
         p.set_defaults(func=fn)
     lint = sub.add_parser(
         "lint",
@@ -673,8 +699,9 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "paths",
         nargs="*",
-        default=["src", "examples", "benchmarks"],
-        help="files or directories to lint (default: src examples benchmarks)",
+        default=["src", "examples", "benchmarks", "perfbench"],
+        help="files or directories to lint "
+        "(default: src examples benchmarks perfbench)",
     )
     lint.add_argument(
         "--json",
@@ -776,27 +803,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rank counts for the macro sweep "
         "(e.g. 16384,65536,262144), replacing the default shape list",
     )
-    perf.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run macro legs on the sharded engine with N OS processes "
-        "(power of two; virtual results are identical to --shards 1)",
-    )
-    perf.add_argument(
-        "--speculate",
-        action="store_true",
-        help="with --shards: optimistic shard windows (checkpoint + "
-        "rollback) instead of the two-barrier protocol; virtual results "
-        "are identical, window stalls drop to actual rollbacks",
-    )
     perf.set_defaults(func=cmd_perf, command="perf")
     serve = sub.add_parser(
         "serve",
         help="simulate inference serving under heavy user traffic",
-        parents=[shared],
     )
+    _add_shared(serve, "seed", "obs", "fault_plan")
     serve.add_argument(
         "--replicas", type=int, default=8, help="replica pool size (default 8)"
     )
@@ -866,8 +878,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser(
         "trace",
         help="export a simulated run as Chrome trace JSON (Perfetto)",
-        parents=[shared],
     )
+    _add_shared(trace, *_SIM_FLAGS, "fault_plan")
     trace.add_argument(
         "target",
         help="run shape ('ranks-rpn-threads', e.g. 4096-4-16) or a known "
@@ -895,8 +907,8 @@ def build_parser() -> argparse.ArgumentParser:
         "report",
         help="self-contained markdown report of a simulated run "
         "(attribution, critical path, Fig-4 breakdown)",
-        parents=[shared],
     )
+    _add_shared(report, *_SIM_FLAGS, "fault_plan")
     report.add_argument(
         "target",
         nargs="?",
@@ -953,14 +965,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 COMMANDS = {
-    "train": cmd_train,
-    "fig1a": cmd_fig1a,
-    "fig1b": cmd_fig1b,
-    "breakdown": cmd_breakdown,
-    "table1": cmd_table1,
-    "scaling": cmd_scaling,
-    "calibrate": cmd_calibrate,
+    "train": (cmd_train, (*_SIM_FLAGS, "scale", "hidden", "obs", "fault_plan")),
+    "fig1a": (cmd_fig1a, _SIM_FLAGS),
+    "fig1b": (cmd_fig1b, _SIM_FLAGS),
+    "breakdown": (cmd_breakdown, _SIM_FLAGS),
+    "table1": (cmd_table1, _SIM_FLAGS),
+    "scaling": (cmd_scaling, _SIM_FLAGS),
+    "calibrate": (cmd_calibrate, ("seed", "iters")),
 }
+"""The paper-experiment subcommands and the shared flags each reads."""
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -204,9 +203,8 @@ class SimRunResult:
     """Vector fast path's ``(label, end, straggler)`` dependency log;
     ``None`` on the scalar path (which records spans instead)."""
     execution_path: str = "scalar"
-    """Which executor produced the (path-invariant) numbers: ``scalar``,
-    ``vector``, ``vector+sharded``, or ``speculative`` (the sharded
-    pool's optimistic window protocol)."""
+    """Which executor produced the (path-invariant) numbers: ``scalar``
+    or ``vector``."""
 
     @property
     def excluded_ranks(self) -> tuple[int, ...]:
@@ -897,8 +895,6 @@ def simulate_training(
     obs: object | None = None,
     trace_p2p: bool = False,
     vector: bool | None = None,
-    shards: int = 1,
-    speculate: bool | None = None,
 ) -> SimRunResult:
     """Run one simulated training configuration to completion.
 
@@ -925,14 +921,7 @@ def simulate_training(
     vector run falls back, the reason is recorded as a
     ``sim.vector.fallback{reason=...}`` counter (if ``obs`` is
     attached) and a debug log line, so a silent scalar-path regression
-    is observable instead of just slow.  ``shards > 1`` additionally
-    partitions the vector kernels across OS processes
-    (:mod:`repro.sim.shard`); it is ignored on the scalar path.
-    ``speculate`` selects the sharded pool's optimistic window protocol
-    (checkpointed per-shard clock slices, rollback on cross-shard
-    causality violation) instead of the conservative two-barrier
-    protocol; ``None`` follows the ``REPRO_SIM_SPECULATE`` env toggle
-    (default off).  Committed results are bit-identical either way.
+    is observable instead of just slow.
     """
     plan = _build_plan(cfg)
     network = cfg.network
@@ -1001,15 +990,9 @@ def simulate_training(
         else "disabled"
     )
     if fallback is None:
-        if speculate is None:
-            speculate = os.environ.get("REPRO_SIM_SPECULATE", "0") == "1"
-        if shards > 1:
-            execution_path = "speculative" if speculate else "vector+sharded"
-        else:
-            execution_path = "vector"
+        execution_path = "vector"
         end_time, phase_log = run_vectorized(
-            cfg, plan, network, policy, comm, load_done,
-            shards=shards, speculate=bool(speculate),
+            cfg, plan, network, policy, comm, load_done
         )
     else:
         # only a *requested* fast path that could not engage is a

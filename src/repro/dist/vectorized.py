@@ -217,11 +217,7 @@ class _VectorRun:
     ``cur[r]`` is rank ``r``'s virtual clock; ``busy_up[r]`` /
     ``busy_dn[r]`` mirror the scalar scheduler's per-``(src, dst)``
     wire-busy map for the one up-tree edge ``(r, parent(r))`` and the one
-    down-tree edge ``(parent(r), r)`` each non-root rank owns.  Kernel
-    operations (tree sweeps, compute charges) go through
-    :attr:`backend` so the sharded runtime can farm out the block-local
-    work (``repro.sim.shard``); everything observable (spans, collective
-    stats, message accounting) stays on the coordinator.
+    down-tree edge ``(parent(r), r)`` each non-root rank owns.
     """
 
     def __init__(
@@ -327,7 +323,6 @@ class _VectorRun:
         lbl_curvature = label(COMPUTE, "worker_curvature_product")
         lbl_heldout = label(COMPUTE, "heldout_loss")
 
-        self.backend: Any = _InlineBackend(self)
         self.phases: list[Callable[[float], tuple[float, Any]]] = []
         self.phase_labels: list[str] = []
         """One label per phase (the worker-side span label), parallel to
@@ -335,7 +330,6 @@ class _VectorRun:
         per phase so the critical-path pass works at phase granularity
         without leaving the fast path."""
         self.phase_log: list[tuple[str, float, int]] = []
-        self.kernel_ops: list[tuple] = []
         self.n_barriers = 0
         self.n_loss = 0
 
@@ -387,29 +381,24 @@ class _VectorRun:
                 self._add_loss_reduce(lbl_reduce_loss)
 
     # ---------------------------------------------------------- tree kernels
-    def up_sweep(self, cost_idx: int, lo: int = 0, hi: int | None = None) -> None:
-        """Ascending-mask reduce sweep over levels ``[lo, hi)``; each rank
-        sends to its parent at the level of its lowest set bit, exactly
-        the order ``_reduce_once`` executes."""
+    def up_sweep(self, cost_idx: int) -> None:
+        """Ascending-mask reduce sweep; each rank sends to its parent at
+        the level of its lowest set bit, exactly the order
+        ``_reduce_once`` executes."""
         cur, busy = self.cur, self.busy_up
-        costs = self.cost_sets[cost_idx]
         inj = self.inj_sets[cost_idx]
-        sl = slice(lo, hi)
         for (_m, leaves, parents), (transfer, wire) in zip(
-            self.levels[sl], costs[sl]
+            self.levels, self.cost_sets[cost_idx]
         ):
             self._level(cur, busy, leaves, parents, leaves, transfer, wire, inj)
 
-    def down_sweep(self, cost_idx: int, lo: int = 0, hi: int | None = None) -> None:
-        """Descending-mask bcast sweep over levels ``[lo, hi)`` (indices in
-        ascending-level terms; processed reversed): each parent sends to
-        its children in descending-mask order, as ``_bcast_once`` does."""
+    def down_sweep(self, cost_idx: int) -> None:
+        """Descending-mask bcast sweep: each parent sends to its children
+        in descending-mask order, as ``_bcast_once`` does."""
         cur, busy = self.cur, self.busy_dn
-        costs = self.cost_sets[cost_idx]
         inj = self.inj_sets[cost_idx]
-        sl = slice(lo, hi)
         for (_m, leaves, parents), (transfer, wire) in zip(
-            reversed(self.levels[sl]), reversed(costs[sl])
+            reversed(self.levels), reversed(self.cost_sets[cost_idx])
         ):
             self._level(cur, busy, parents, leaves, leaves, transfer, wire, inj)
 
@@ -438,10 +427,6 @@ class _VectorRun:
         cur[receivers] = np.maximum(cur[receivers], arrival)
 
     # --------------------------------------------------------- phase builders
-    def _op(self, op: tuple) -> tuple:
-        self.kernel_ops.append(op)
-        return op
-
     def _end(self) -> tuple[float, Any]:
         return float(self.cur.max()), None
 
@@ -514,30 +499,24 @@ class _VectorRun:
         0.0 is exactly the scalar path's skipped charge)."""
         self.n_barriers += 1
         self.phase_labels.append(lbl_worker)
-        up = self._op(("up", 0))
-        down = self._op(("down", 0))
         if isinstance(cost, np.ndarray):
-            addc = self._op(("addv", cost)) if cost.any() else None
+            addc = cost if cost.any() else None
         else:
-            addc = self._op(("add", float(cost))) if cost > 0 else None
+            addc = float(cost) if cost > 0 else None
 
         def run(_now: float) -> tuple[float, Any]:
             cur = self.cur
             coll = self.comm.coll_stats
-            backend = self.backend
             t0 = cur.copy()
-            backend.run_op(up)
+            self.up_sweep(0)
             if coll is not None:
-                backend.drain()
                 coll.on_bulk("reduce", "binomial", cur - t0)
                 t1 = cur.copy()
-            backend.run_op(down)
+            self.down_sweep(0)
             if coll is not None:
-                backend.drain()
                 coll.on_bulk("bcast", "binomial", cur - t1)
             if addc is not None:
-                backend.run_op(addc)
-            backend.drain()
+                cur += addc
             d = cur - t0
             if self.tracer is not None:
                 if lbl_master == lbl_worker:
@@ -554,14 +533,11 @@ class _VectorRun:
     def _add_loss_reduce(self, lbl: str) -> None:
         self.n_loss += 1
         self.phase_labels.append(lbl)
-        up = self._op(("up", 1))
 
         def run(_now: float) -> tuple[float, Any]:
             cur = self.cur
-            backend = self.backend
             t0 = cur.copy()
-            backend.run_op(up)
-            backend.drain()
+            self.up_sweep(1)
             d = cur - t0
             if self.tracer is not None:
                 self.tracer.add_bulk(lbl, 0, d)
@@ -574,14 +550,11 @@ class _VectorRun:
 
     def _add_compute_workers(self, secs: np.ndarray, lbl: str) -> None:
         self.phase_labels.append(lbl)
-        op = self._op(("cw", secs))
 
         def run(_now: float) -> tuple[float, Any]:
             cur = self.cur
-            backend = self.backend
             old = cur[1:].copy()
-            backend.run_op(op)
-            backend.drain()
+            cur[1:] += secs
             d = cur[1:] - old
             if self.tracer is not None:
                 self.tracer.add_bulk(lbl, 1, d)
@@ -657,34 +630,6 @@ class _VectorRun:
                 stats.on_bulk(leaves, parents, _LOSS_BYTES, self.n_loss)
 
 
-class _InlineBackend:
-    """Single-process kernel execution: ops run directly on the full arrays."""
-
-    __slots__ = ("run",)
-
-    def __init__(self, run: _VectorRun) -> None:
-        self.run = run
-
-    def run_op(self, op: tuple) -> None:
-        kind = op[0]
-        r = self.run
-        if kind == "up":
-            r.up_sweep(op[1])
-        elif kind == "down":
-            r.down_sweep(op[1])
-        elif kind == "add":
-            r.cur += op[1]
-        elif kind == "addv":
-            r.cur += op[1]
-        elif kind == "cw":
-            r.cur[1:] += op[1]
-        else:  # pragma: no cover - schedule and executor are built together
-            raise ValueError(f"unknown kernel op {op!r}")
-
-    def drain(self) -> None:
-        """No-op: inline ops complete synchronously."""
-
-
 def run_vectorized(
     cfg: Any,
     plan: Any,
@@ -692,8 +637,6 @@ def run_vectorized(
     policy: Any,
     comm: Any,
     load_done: list[float],
-    shards: int = 1,
-    speculate: bool = False,
 ) -> tuple[float, list[tuple[str, float, int]]]:
     """Execute one eligible SPMD run on the vector fast path.
 
@@ -701,22 +644,6 @@ def run_vectorized(
     ``Engine.finish_time`` and the phase log holds one
     ``(label, end, straggler_rank)`` entry per executed phase — the
     aggregate-level dependency chain the critical-path pass consumes.
-    With ``shards > 1`` the block-local kernel work is partitioned
-    across OS processes by :class:`repro.sim.shard.ShardPool`; results
-    are bit-identical to ``shards == 1`` because every shard executes
-    the same float operations on disjoint array slices.  ``speculate``
-    additionally selects the pool's optimistic window protocol
-    (checkpoint + rollback instead of two barriers per kernel op) —
-    committed values are identical either way.
     """
     run = _VectorRun(cfg, plan, network, policy, comm, load_done)
-    if shards > 1:
-        from repro.sim.shard import ShardPool
-
-        pool = ShardPool(run, shards, obs=comm.obs, speculate=speculate)
-        run.backend = pool
-        try:
-            return run.execute(), run.phase_log
-        finally:
-            pool.close()
     return run.execute(), run.phase_log

@@ -157,17 +157,14 @@ def bench_macro(
     shape: str = "4096-4-16",
     obs: Any | None = None,
     vector: bool | None = None,
-    shards: int = 1,
-    speculate: bool = False,
     auto_overlap: bool = False,
 ) -> dict[str, Any]:
     """One full simulated training run — the acceptance-criterion
     configuration (one outer iteration standing for 30).  ``obs`` is an
     optional :class:`~repro.obs.metrics.MetricsRegistry` to attach;
-    ``vector``/``shards``/``speculate`` select the SPMD fast path /
-    sharded engine / optimistic shard windows exactly as on
+    ``vector`` selects the SPMD fast path exactly as on
     :func:`~repro.dist.simulated.simulate_training` (the virtual
-    invariants are identical on every path — the reported ``path``
+    invariants are identical on both paths — the reported ``path``
     names which executor produced them).  ``auto_overlap`` switches the
     config to ``collective_selection="auto"`` with the bucketed
     gradient-overlap pipeline — the paper-configuration macro leg."""
@@ -186,9 +183,7 @@ def bench_macro(
             else {}
         ),
     )
-    res = simulate_training(
-        cfg, obs=obs, vector=vector, shards=shards, speculate=speculate
-    )
+    res = simulate_training(cfg, obs=obs, vector=vector)
     return {
         "virtual_finish": res.load_data_seconds + res.iteration_seconds,
         "messages": res.total_messages,
@@ -226,27 +221,6 @@ def bench_collectives(spec: str = "1024-4-16", hours: float = 2.0) -> dict[str, 
     }
 
 
-def shard_metrics_block(reg: Any) -> dict[str, Any]:
-    """Condense the ``sim.shard.*`` surface of an obs snapshot into the
-    BENCH json ``shard_metrics`` block (stalls, rollbacks, speculation
-    depth).  Unlike the virtual invariants these are *wall-clock
-    sensitive* on the speculative path — rollback counts depend on OS
-    scheduling — so they are reported, never baseline-compared."""
-    out: dict[str, Any] = {}
-    for rec in reg.snapshot():
-        name = rec["metric"]
-        if not name.startswith("sim.shard."):
-            continue
-        key = name[len("sim.shard.") :]
-        if name == "sim.shard.kernel_ops":
-            out["kernel_ops"] = out.get("kernel_ops", 0) + rec["value"]
-        elif "peak" in rec:
-            out[key] = rec["peak"]
-        else:
-            out[key] = rec["value"]
-    return out
-
-
 def registry_metrics_block(reg: Any) -> dict[str, Any]:
     """Condense an obs snapshot into the BENCH json ``metrics`` block."""
     events: dict[str, int] = {}
@@ -269,9 +243,7 @@ def registry_metrics_block(reg: Any) -> dict[str, Any]:
 def bench_macro_obs(
     shape: str,
     registry_sink: list[Any] | None = None,
-    shards: int = 1,
     vector: bool | None = None,
-    speculate: bool = False,
     auto_overlap: bool = False,
 ) -> dict[str, Any]:
     """:func:`bench_macro` with a fresh metrics registry attached — the
@@ -282,20 +254,13 @@ def bench_macro_obs(
     excluded so ``_time(bench_macro_obs)`` measures hot-path overhead,
     not the one-time export cost.  ``registry_sink``, if given, receives
     the attached registry (via ``append``) for post-timing inspection.
-    ``vector``/``shards`` pass through to :func:`bench_macro`, so the
-    overhead gate covers the SPMD fast path and the sharded engine too.
+    ``vector`` passes through to :func:`bench_macro`, so the overhead
+    gate covers the SPMD fast path too.
     """
     from repro.obs import MetricsRegistry
 
     reg = MetricsRegistry()
-    result = bench_macro(
-        shape,
-        obs=reg,
-        vector=vector,
-        shards=shards,
-        speculate=speculate,
-        auto_overlap=auto_overlap,
-    )
+    result = bench_macro(shape, obs=reg, vector=vector, auto_overlap=auto_overlap)
     if registry_sink is not None:
         registry_sink.append(reg)
     return result
@@ -358,22 +323,16 @@ def run_perf(
     repeats: int = 3,
     quick: bool = False,
     ranks: list[int] | None = None,
-    shards: int = 1,
-    speculate: bool = False,
 ) -> dict[str, Any]:
     """Run every benchmark; returns the ``BENCH_sim_vmpi.json`` payload.
 
     ``quick`` shrinks the workloads for smoke-testing the harness itself
     (CI); published baselines use the default sizes.  ``ranks`` replaces
     the macro shape list with ``<r>-4-16`` entries (the ``repro perf
-    --ranks 16384,65536,262144`` sweep); ``shards`` runs the macro legs
-    on the sharded engine and ``speculate`` switches its shard windows
-    to the optimistic rollback protocol (virtual invariants are
-    unaffected either way; sharded legs additionally report a
-    ``shard_metrics`` block with the window stall / rollback counts).
-    Every macro shape also gets an ``<shape>+auto+overlap`` leg — the
-    paper configuration (auto-selected collectives + bucketed gradient
-    overlap) timed on the same executor.
+    --ranks 16384,65536,262144`` sweep).  Every macro shape also gets
+    an ``<shape>+auto+overlap`` leg — the paper configuration
+    (auto-selected collectives + bucketed gradient overlap) timed on the
+    same executor.
     """
     if quick:
         micro = {
@@ -400,8 +359,6 @@ def run_perf(
             "timer": "time.perf_counter",
             "gc": "disabled during timed region",
             "estimator": "min over repeats (best_s)",
-            "shards": shards,
-            "speculate": speculate,
         },
         "micro": {},
         "macro": {},
@@ -416,35 +373,17 @@ def run_perf(
         legs = {shape: False, f"{shape}+auto+overlap": True}
         for name, auto_overlap in legs.items():
             if int(shape.split("-")[0]) > OBS_INTERLEAVE_MAX_RANKS:
-                entry = _time(
-                    lambda s=shape, ao=auto_overlap: bench_macro(
-                        s, shards=shards, speculate=speculate, auto_overlap=ao
-                    ),
+                payload["macro"][name] = _time(
+                    lambda s=shape, ao=auto_overlap: bench_macro(s, auto_overlap=ao),
                     repeats,
                 )
-                if shards > 1:
-                    # one untimed obs-attached run just for the shard
-                    # window telemetry (stalls / rollbacks) — these
-                    # shapes skip the timed obs interleave by design
-                    sink: list[Any] = []
-                    bench_macro_obs(
-                        shape,
-                        sink,
-                        shards=shards,
-                        speculate=speculate,
-                        auto_overlap=auto_overlap,
-                    )
-                    entry["shard_metrics"] = shard_metrics_block(sink[-1])
-                payload["macro"][name] = entry
                 continue
-            sink = []
+            sink: list[Any] = []
             entry, obs_entry = _time_interleaved(
                 [
-                    lambda s=shape, ao=auto_overlap: bench_macro(
-                        s, shards=shards, speculate=speculate, auto_overlap=ao
-                    ),
+                    lambda s=shape, ao=auto_overlap: bench_macro(s, auto_overlap=ao),
                     lambda s=shape, ao=auto_overlap: bench_macro_obs(
-                        s, sink, shards=shards, speculate=speculate, auto_overlap=ao
+                        s, sink, auto_overlap=ao
                     ),
                 ],
                 repeats,
@@ -467,10 +406,7 @@ def run_perf(
             # of percent.)
             entry["obs_ratio"] = obs_entry["best_s"] / entry["best_s"]
             entry["metrics"] = registry_metrics_block(sink[-1])
-            if shards > 1:
-                entry["shard_metrics"] = shard_metrics_block(sink[-1])
             payload["macro"][name] = entry
-    payload["shard_windows"] = _shard_window_report(shapes)
     from repro.harness.serving import serve_payload
 
     # pure virtual-time sweep (no wall clocks), committed bit-for-bit —
@@ -478,43 +414,6 @@ def run_perf(
     # the ratio-gated micro/macro sections
     payload["serve"] = serve_payload(quick=quick)
     return payload
-
-
-SHARD_WINDOW_SHARDS = 4
-
-
-def _shard_window_report(shapes: tuple[str, ...]) -> dict[str, Any]:
-    """Conservative-vs-speculative shard-window telemetry at the largest
-    macro shape (the ISSUE's 262k evidence: the optimistic protocol
-    drops ``window_stalls`` to the actual rollback count with zero
-    result divergence).
-
-    Untimed single runs — the numbers of interest are the window
-    counters, not wall clock.  Rollback counts on the speculative path
-    depend on OS scheduling, so this section is reported in the BENCH
-    json but never baseline-compared (the baseline loops only walk the
-    ``micro``/``macro`` sections).
-    """
-    from repro.sim.shard import ShardPool
-
-    shape = max(shapes, key=lambda s: int(s.split("-")[0]))
-    if not ShardPool.supported() or int(shape.split("-")[0]) < 4 * SHARD_WINDOW_SHARDS:
-        return {"skipped": "fork unavailable or shape too small"}
-    report: dict[str, Any] = {"shape": shape, "shards": SHARD_WINDOW_SHARDS}
-    for mode, speculate in (("conservative", False), ("speculative", True)):
-        sink: list[Any] = []
-        result = bench_macro_obs(
-            shape, sink, shards=SHARD_WINDOW_SHARDS, speculate=speculate
-        )
-        report[mode] = {**result, "shard_metrics": shard_metrics_block(sink[-1])}
-    if report["speculative"]["virtual_finish"] != report["conservative"]["virtual_finish"]:
-        raise AssertionError(
-            "speculative shard windows diverged from the conservative "
-            f"protocol at {shape}: "
-            f"{report['speculative']['virtual_finish']!r} != "
-            f"{report['conservative']['virtual_finish']!r}"
-        )
-    return report
 
 
 def write_bench_json(payload: dict[str, Any], path: str | Path) -> Path:
@@ -548,19 +447,6 @@ def render_perf_text(payload: dict[str, Any]) -> str:
                     extra += f", path={r['path']}"
                 extra += "]"
             lines.append(f"  {section}/{name}: {r['best_s']:.3f}  ({walls}){extra}")
-            if "shard_metrics" in r:
-                sm = r["shard_metrics"]
-                parts = [
-                    f"{k}={sm[k]:g}"
-                    for k in (
-                        "window_stalls",
-                        "rollbacks",
-                        "speculated_windows",
-                        "commit_depth",
-                    )
-                    if k in sm
-                ]
-                lines.append(f"    shard windows: {', '.join(parts)}")
             if "obs_best_s" in r:
                 ratio = r.get(
                     "obs_ratio",
@@ -571,23 +457,6 @@ def render_perf_text(payload: dict[str, Any]) -> str:
                     f"events={r['metrics']['events_total']}, "
                     f"peak_heap={r['metrics']['peak_heap_depth']:g})"
                 )
-    sw = payload.get("shard_windows")
-    if sw and "skipped" not in sw:
-        lines.append(f"shard windows ({sw['shape']}, shards={sw['shards']}):")
-        for mode in ("conservative", "speculative"):
-            r = sw[mode]
-            sm = r["shard_metrics"]
-            parts = [
-                f"{k}={sm[k]:g}"
-                for k in (
-                    "window_stalls",
-                    "rollbacks",
-                    "speculated_windows",
-                    "commit_depth",
-                )
-                if k in sm
-            ]
-            lines.append(f"  {mode} (path={r['path']}): {', '.join(parts)}")
     serve = payload.get("serve")
     if serve:
         lines.append(

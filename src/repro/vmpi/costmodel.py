@@ -24,38 +24,9 @@ __all__ = [
     "NetworkModel",
     "UniformNetwork",
     "ZeroCostNetwork",
-    "min_cross_latency",
     "nbytes_of",
     "PayloadStub",
 ]
-
-
-def min_cross_latency(network: "NetworkModel", size: int, shards: int) -> float:
-    """Conservative-window lookahead for the sharded engine.
-
-    The shard coordinator (:mod:`repro.sim.shard`) may let shards advance
-    independently only within a time window no larger than the minimum
-    latency of any message that can cross a shard boundary — a message
-    injected at the window start cannot arrive at another shard before
-    ``window_start + lookahead``, so events inside the window are safe to
-    execute without inter-shard rollback.  Ranks are partitioned into
-    ``shards`` contiguous blocks of ``size // shards``; the bound is the
-    minimum zero-byte ``p2p_time`` over boundary-adjacent rank pairs in
-    both directions (cheap, and exact for the repo's distance-monotone
-    models where adding bytes or hops never makes a message faster).
-    """
-    if shards <= 1:
-        return float("inf")
-    block = size // shards
-    best = float("inf")
-    for s in range(1, shards):
-        lo, hi = s * block - 1, s * block
-        best = min(
-            best,
-            network.p2p_time(lo, hi, 0),
-            network.p2p_time(hi, lo, 0),
-        )
-    return best
 
 
 @runtime_checkable

@@ -1105,7 +1105,6 @@ class TestSpmdMarkerAudit:
 
     MODULES = (
         "src/repro/dist/vectorized.py",
-        "src/repro/sim/shard.py",
     )
 
     @staticmethod

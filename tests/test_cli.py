@@ -39,6 +39,31 @@ def test_shared_flags_after_subcommand():
     assert args.iters == 3 and args.hours == 5.0 and args.seed == 9
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serve", "--hours", "1"],
+        ["perf", "--shards", "2"],
+        ["trace", "64-1-16", "--obs", "m.jsonl"],
+        ["report", "--hidden", "12"],
+        ["calibrate", "--hours", "1"],
+    ],
+    ids=[
+        "serve_hours",
+        "perf_shards",
+        "trace_obs",
+        "report_hidden",
+        "calibrate_hours",
+    ],
+)
+def test_inapplicable_flag_is_an_error(argv, capsys):
+    """A flag the subcommand never reads is rejected, not ignored."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_missing_command_errors():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

@@ -22,7 +22,6 @@ differ:
 """
 
 import json
-import multiprocessing
 import os
 
 import pytest
@@ -45,10 +44,8 @@ def _cfg(spec, **kwargs):
     )
 
 
-def _run(spec, vector, obs=None, shards=1, cfg=None):
-    return simulate_training(
-        cfg or _cfg(spec), obs=obs, vector=vector, shards=shards
-    )
+def _run(spec, vector, obs=None, cfg=None):
+    return simulate_training(cfg or _cfg(spec), obs=obs, vector=vector)
 
 
 def _metric_index(reg):
@@ -155,49 +152,6 @@ def test_vector_fallback_on_non_power_of_two():
     assert _vector_phases(reg) == 0
 
 
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="sharded engine needs fork-capable multiprocessing",
-)
-def test_sharded_matches_single_shard_bit_for_bit():
-    a = _run("64-4-16", vector=True, shards=1)
-    b = _run("64-4-16", vector=True, shards=4)
-    assert a.load_data_seconds == b.load_data_seconds
-    assert a.iteration_seconds == b.iteration_seconds
-    assert a.total_messages == b.total_messages
-    assert a.total_bytes == b.total_bytes
-    for r in (0, 15, 16, 32, 63):
-        assert a.tracer.totals(f"rank{r}") == b.tracer.totals(f"rank{r}")
-
-
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="sharded engine needs fork-capable multiprocessing",
-)
-def test_shard_obs_counters():
-    reg = MetricsRegistry()
-    res = _run("64-4-16", vector=True, shards=2, obs=reg)
-    assert res.iteration_seconds > 0
-    idx = _metric_index(reg)
-    ops = [v["value"] for (m, _), v in idx.items() if m == "sim.shard.kernel_ops"]
-    assert len(ops) == 2 and ops[0] == ops[1] > 0
-    assert ("sim.shard.window_stalls", "{}") in idx
-    assert ("sim.shard.window_spread_seconds", "{}") in idx
-
-
-def test_shard_count_validation():
-    from repro.dist.vectorized import _VectorRun  # noqa: F401 - import check
-    from repro.sim.shard import ShardPool
-
-    class _Stub:
-        p = 64
-
-    with pytest.raises(ValueError):
-        ShardPool(_Stub(), 3)
-    with pytest.raises(ValueError):
-        ShardPool(_Stub(), 1)
-
-
 VARIANTS = {
     "auto": {"collective_selection": "auto"},
     "overlap": {"overlap_gradient": True},
@@ -290,66 +244,6 @@ def test_vector_fallback_reason_recorded():
         vector_fallback_reason(_cfg("64-4-16"), object(), trace_p2p=True)
         == "trace_p2p"
     )
-
-
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="sharded engine needs fork-capable multiprocessing",
-)
-@pytest.mark.parametrize("shards", [1, 2, 4, 8])
-def test_speculative_rollback_determinism(shards):
-    """Seeded runs must be bit-identical for every shard count with
-    speculation on or off — rollback repair may fire at arbitrary
-    (wall-clock-dependent) points, but committed values never differ."""
-    base = _run("64-4-16", vector=True, shards=1)
-    for speculate in (False, True):
-        if shards == 1 and speculate:
-            continue  # the pool (and thus speculation) starts at 2 shards
-        r = simulate_training(
-            _cfg("64-4-16"), vector=True, shards=shards, speculate=speculate
-        )
-        assert r.load_data_seconds == base.load_data_seconds
-        assert r.iteration_seconds == base.iteration_seconds
-        assert r.total_messages == base.total_messages
-        assert r.total_bytes == base.total_bytes
-        for r_ in (0, 31, 32, 63):
-            assert r.tracer.totals(f"rank{r_}") == base.tracer.totals(
-                f"rank{r_}"
-            ), (shards, speculate)
-
-
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="sharded engine needs fork-capable multiprocessing",
-)
-def test_speculative_rollback_repair_is_exact(monkeypatch):
-    """With the optimistic gather's spin budget forced to zero every
-    snapshot takes whatever export columns are there — mostly stale, so
-    validation rolls back and repairs constantly.  Committed results
-    must still be bit-identical, and the repair traffic must show up on
-    the speculative counters."""
-    import repro.sim.shard as shard_mod
-
-    monkeypatch.setattr(shard_mod, "_SPIN_BUDGET", 0)
-    base = _run("256-4-16", vector=True, shards=1)
-    rollbacks = 0
-    for _attempt in range(3):
-        reg = MetricsRegistry()
-        r = simulate_training(
-            _cfg("256-4-16"), obs=reg, vector=True, shards=8, speculate=True
-        )
-        assert r.iteration_seconds == base.iteration_seconds
-        assert r.total_messages == base.total_messages
-        idx = _metric_index(reg)
-        assert idx[("sim.shard.speculated_windows", "{}")]["value"] > 0
-        rb = idx.get(("sim.shard.rollbacks", "{}"))
-        stalls = idx[("sim.shard.window_stalls", "{}")]["value"]
-        rollbacks += rb["value"] if rb else 0
-        # speculative stalls are exactly the rolled-back windows
-        assert stalls == (rb["value"] if rb else 0)
-        if rollbacks:
-            break
-    assert rollbacks > 0, "zero-budget snapshots never raced a peer"
 
 
 def test_run_shape_unchanged_by_vector_default():
