@@ -26,7 +26,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from repro.faults import (
     FaultRecoveryError,
     RecoveryLog,
 )
-from repro.sim.engine import Timeout
 from repro.sim.trace import Tracer
 from repro.nn.parallel_sgd import exposed_comm_model
 from repro.speech.hmm import HmmSpec
@@ -389,58 +388,218 @@ def _build_plan(cfg: SimJobConfig) -> _Plan:
     )
 
 
+# --------------------------------------------------------------- schedule
+_LOSS_BYTES = 16
+"""Held-out loss payload each eval reduces to the master."""
+
+# span labels, composed once per process instead of once per span
+_LBL_SYNC_MASTER = label(COLL, "sync_weights_master")
+_LBL_SYNC = label(COLL, "sync_weights")
+_LBL_CG_BCAST = label(COLL, "cg_bcast")
+_LBL_CG_REDUCE = label(COLL, "cg_reduce")
+_LBL_REDUCE_GRAD = label(COLL, "reduce_gradient")
+_LBL_REDUCE_LOSS = label(COLL, "reduce_loss")
+_LBL_GRADIENT = label(COMPUTE, "gradient_loss")
+_LBL_CURVATURE = label(COMPUTE, "worker_curvature_product")
+_LBL_HELDOUT = label(COMPUTE, "heldout_loss")
+_LBL_HF_MASTER = label(COMPUTE, "hf_master")
+_LBL_CG_MINIMIZE = label(COMPUTE, "cg_minimize")
+
+
+@dataclass(frozen=True)
+class _Step:
+    """One step of the synchronous protocol, in program order.
+
+    ``kind`` is ``bcast`` or ``reduce`` (a theta collective), ``work``
+    (per-worker compute), ``grad`` (the overlapped gradient reduction,
+    which leaves each rank only its exposed communication), ``master``
+    (master compute) or ``loss`` (the held-out loss reduction).  ``secs``
+    is the per-worker array of a work step and the master's charge of a
+    master or grad step.  ``name`` is the HF phase the step belongs to:
+    ``grad:<it>``, ``cg:<it>:<k>`` or ``eval:<it>:<e>``.
+    """
+
+    kind: str
+    name: str
+    master_label: str
+    worker_label: str
+    secs: Any = None
+
+
+@dataclass(frozen=True)
+class _Schedule:
+    """The protocol's steps plus the collective prices every executor
+    shares (frozen once per run: the same pure functions on the same
+    arguments, so bit-identical to pricing every call)."""
+
+    steps: list[_Step]
+    theta_fast: bool
+    """Theta collectives take the closed-form fast path."""
+    bcast: tuple[str, float]
+    """``(algo, cost)`` of a fast-path theta broadcast."""
+    reduce: tuple[str, float]
+    """``(algo, cost)`` of a fast-path theta reduction."""
+    loss: tuple[str, float] | None
+    """``(algo, cost)`` of the loss reduction, or ``None`` when it runs
+    the real tree message by message."""
+    exposed: Callable[[float], float] | None
+    """Gradient seconds -> exposed communication, with
+    ``overlap_gradient``."""
+
+    @property
+    def grad_algo(self) -> str:
+        """Algorithm label of the overlapped gradient reduction."""
+        return self.reduce[0] + "+overlap"
+
+
+def _fast_path(cfg: SimJobConfig, nbytes: int) -> bool:
+    """Large payloads take the validated closed-form cost; small ones
+    execute the real tree algorithms message-by-message."""
+    return nbytes > cfg.segment_bytes and cfg.shape.ranks > 8
+
+
+def _price(
+    op: str, p: int, nbytes: int, network: NetworkModel,
+    policy: CollectivePolicy | None,
+) -> tuple[str, float]:
+    """``(algo label, closed-form cost)`` of a fast-path ``bcast`` or
+    ``reduce`` over ``p`` ranks."""
+    if policy is not None:
+        choose = policy.bcast_choice if op == "bcast" else policy.reduce_choice
+        algo, cost = choose(p, nbytes)
+        return str(algo), cost
+    alpha, bandwidth = collective_params(network)
+    cost_fn = bcast_cost if op == "bcast" else reduce_cost
+    return "fixed", cost_fn(p, nbytes, alpha, bandwidth)
+
+
+def _schedule(
+    cfg: SimJobConfig,
+    plan: _Plan,
+    network: NetworkModel,
+    policy: CollectivePolicy | None,
+) -> _Schedule:
+    """Build the synchronous protocol once, as steps in program order.
+
+    The scalar rank programs, the fault-tolerant dispatch loop and the
+    vector fast path (:mod:`repro.dist.vectorized`) all walk this list.
+    Per-worker charges are evaluated through the perf models once per
+    unique frame count (:meth:`SimWorkload.per_worker_seconds`) and are
+    invariant across iterations except for the curvature sample; the
+    scalar workers apply ``noisy()`` to them in program order.
+    """
+    shape = cfg.shape
+    wl = cfg.workload
+    p = shape.ranks
+    machine = (shape.cores_per_rank, shape.threads_per_core, shape.ranks_per_node)
+
+    def per_worker(kind: str, frames: np.ndarray) -> np.ndarray:
+        return wl.per_worker_seconds(kind, frames, *machine)
+
+    theta_nbytes = wl.theta_bytes
+    grad_secs = per_worker("gradient", plan.grad_frames)
+    held_secs = per_worker("heldout", plan.heldout_frames)
+    hf_master_secs = wl.master_vector_op_seconds(4.0)
+    cg_minimize_secs = wl.master_vector_op_seconds(6.0)
+    exposed = None
+    if cfg.overlap_gradient:
+        # DDP-style bucketed gradient overlap: layer gradients coalesced
+        # in backward order; each bucket's reduction pipelines behind the
+        # compute producing the next, so only the exposed communication
+        # is charged after the (full) gradient compute.
+        layer_bytes = [
+            (i * o + o) * wl.dtype_bytes for i, o in wl.geometry.layer_pairs()
+        ]
+        _buckets, exposed = exposed_comm_model(
+            layer_bytes,
+            cfg.gradient_bucket_bytes,
+            theta_nbytes,
+            lambda nbytes: _price("reduce", p, nbytes, network, policy)[1],
+        )
+        # the master produces no gradient; its charge is the exposed
+        # communication behind the slowest worker's nominal compute (the
+        # barrier inside the modeled collective makes the actual
+        # straggler wait emergent either way)
+        master_exposed = exposed(
+            wl.gradient_seconds(int(plan.grad_frames.max()), *machine)
+        )
+
+    steps: list[_Step] = []
+
+    def add(kind: str, name: str, master_label: str,
+            worker_label: str | None = None, secs: Any = None) -> None:
+        steps.append(
+            _Step(kind, name, master_label, worker_label or master_label, secs)
+        )
+
+    script = cfg.script
+    for it in range(script.n_iterations):
+        # gradient phase: theta out, gradient back
+        name = f"grad:{it}"
+        add("bcast", name, _LBL_SYNC_MASTER, _LBL_SYNC)
+        add("work", name, _LBL_GRADIENT, secs=grad_secs)
+        if exposed is None:
+            add("reduce", name, _LBL_REDUCE_GRAD)
+        else:
+            add("grad", name, _LBL_REDUCE_GRAD, secs=master_exposed)
+        add("master", name, _LBL_HF_MASTER, secs=hf_master_secs)
+        # CG loop; the per-CG-call forward cache (setup) is charged on
+        # the first product
+        curv = plan.curv_frames[it]
+        product = per_worker("curvature_product", curv)
+        first_product = product + per_worker("curvature_setup", curv)
+        for k in range(script.cg_iters[it]):
+            name = f"cg:{it}:{k}"
+            add("bcast", name, _LBL_CG_BCAST)
+            add("work", name, _LBL_CURVATURE,
+                secs=first_product if k == 0 else product)
+            add("reduce", name, _LBL_CG_REDUCE)
+            add("master", name, _LBL_CG_MINIMIZE, secs=cg_minimize_secs)
+        # held-out evaluations (CG backtracking + Armijo)
+        for e in range(script.heldout_evals[it]):
+            name = f"eval:{it}:{e}"
+            add("bcast", name, _LBL_SYNC_MASTER, _LBL_SYNC)
+            add("work", name, _LBL_HELDOUT, secs=held_secs)
+            add("loss", name, _LBL_REDUCE_LOSS)
+    return _Schedule(
+        steps=steps,
+        theta_fast=_fast_path(cfg, theta_nbytes),
+        bcast=_price("bcast", p, theta_nbytes, network, policy),
+        reduce=_price("reduce", p, theta_nbytes, network, policy),
+        loss=(
+            _price("reduce", p, _LOSS_BYTES, network, policy)
+            if _fast_path(cfg, _LOSS_BYTES)
+            else None
+        ),
+        exposed=exposed,
+    )
+
+
 # ----------------------------------------------------------- rank programs
 def _make_programs(
     cfg: SimJobConfig,
     plan: _Plan,
+    sched: _Schedule,
     load_done: list[float],
-    network: NetworkModel,
-    policy: CollectivePolicy | None = None,
     injector: FaultInjector | None = None,
     recovery: RecoveryLog | None = None,
 ):
     """Build the per-rank generator programs for one training run.
 
-    With no ``cfg.fault_policy`` this returns the synchronous collective
-    protocol (the paper's); with one it returns the fault-tolerant
-    master-driven tagged-p2p protocol (DESIGN.md §8), recording every
+    With no ``cfg.fault_policy`` the programs walk ``sched`` as the
+    synchronous collective protocol (the paper's); with one, the master
+    turns each work step into a dispatch/collect round of the
+    fault-tolerant tagged-p2p protocol (DESIGN.md §8), recording every
     recovery action into ``recovery``.
     """
     shape = cfg.shape
     wl = cfg.workload
-    cores = shape.cores_per_rank
-    tpc = shape.threads_per_core
-    rpn = shape.ranks_per_node
     theta = PayloadStub(wl.theta_bytes, "theta")
+    loss_stub = PayloadStub(_LOSS_BYTES, "loss")
     seg = cfg.segment_bytes
-    alpha, coll_bw = collective_params(network)
-
-    def _fast_path(nbytes: int) -> bool:
-        """Large payloads take the validated closed-form cost; small ones
-        execute the real tree algorithms message-by-message."""
-        return nbytes > seg and shape.ranks > 8
-
-    def _bcast_model(nbytes: int) -> tuple[str, float]:
-        """(algo label, closed-form cost) for a fast-path broadcast."""
-        if policy is not None:
-            algo, cost = policy.bcast_choice(shape.ranks, nbytes)
-            return str(algo), cost
-        return "fixed", bcast_cost(shape.ranks, nbytes, alpha, coll_bw)
-
-    def _reduce_model(nbytes: int) -> tuple[str, float]:
-        """(algo label, closed-form cost) for a fast-path reduction."""
-        if policy is not None:
-            algo, cost = policy.reduce_choice(shape.ranks, nbytes)
-            return str(algo), cost
-        return "fixed", reduce_cost(shape.ranks, nbytes, alpha, coll_bw)
-
-    # Almost every collective in the protocol moves theta; freeze its
-    # routing decision and closed-form costs once (bit-identical to
-    # recomputing them per call — same pure functions, same arguments).
-    theta_nbytes = wl.theta_bytes
-    theta_fast = _fast_path(theta_nbytes)
-    theta_bcast_algo, theta_bcast_cost = _bcast_model(theta_nbytes)
-    theta_reduce_algo, theta_reduce_cost = _reduce_model(theta_nbytes)
+    steps = sched.steps
+    exposed = sched.exposed
+    theta_reduce = sched.reduce if sched.theta_fast else None
 
     sync_stub = PayloadStub(4, "sync")
     go_stub = PayloadStub(4, "go")
@@ -462,74 +621,29 @@ def _make_programs(
 
     serial = cfg.bcast_algorithm == "serial"
 
-    # DDP-style bucketed gradient overlap: layer gradients coalesced in
-    # backward order; each bucket's reduction pipelines behind the
-    # compute producing the next, so only the exposed communication is
-    # charged after the (full) gradient compute.
-    overlap = cfg.overlap_gradient
-    if overlap:
-        layer_bytes = [
-            (i * o + o) * wl.dtype_bytes for i, o in wl.geometry.layer_pairs()
-        ]
-        # shared with the vector fast path: both paths build the bucket
-        # plan, per-bucket reduction prices and exposed-comm schedule
-        # through this one constructor, so every rank's overlap charge
-        # is bit-identical on either executor
-        _bucket_plan, _exposed = exposed_comm_model(
-            layer_bytes,
-            cfg.gradient_bucket_bytes,
-            theta_nbytes,
-            lambda b: _reduce_model(b)[1],
-        )
-        grad_algo = theta_reduce_algo + "+overlap"
-
-    # span labels, composed once per run instead of once per span
-    lbl_sync_master = label(COLL, "sync_weights_master")
-    lbl_sync = label(COLL, "sync_weights")
-    lbl_cg_bcast = label(COLL, "cg_bcast")
-    lbl_cg_reduce = label(COLL, "cg_reduce")
-    lbl_reduce_grad = label(COLL, "reduce_gradient")
-    lbl_reduce_loss = label(COLL, "reduce_loss")
-    lbl_gradient = label(COMPUTE, "gradient_loss")
-    lbl_curvature = label(COMPUTE, "worker_curvature_product")
-    lbl_heldout = label(COMPUTE, "heldout_loss")
-
     def coll_bcast(ctx: RankCtx, lbl: str, payload=None):
-        if serial:
-            t0 = ctx.now
-            result = yield from serial_bcast(ctx, payload, root=0)
-            ctx.record_span(lbl, t0)
-            return result
-        if isinstance(payload, PayloadStub) and payload.nbytes != theta_nbytes:
-            nbytes = payload.nbytes
-            fast = _fast_path(nbytes)
-            algo, cost = _bcast_model(nbytes) if fast else ("fixed", 0.0)
-        else:
-            fast = theta_fast
-            algo, cost = theta_bcast_algo, theta_bcast_cost
-        if fast:
+        """Broadcast theta from the master."""
+        if sched.theta_fast and not serial:
+            algo, cost = sched.bcast
             yield from _modeled_collective(ctx, lbl, cost, "bcast", algo)
-            return payload
+            return
         t0 = ctx.now
-        result = yield from bcast(ctx, payload, root=0, segment_bytes=seg)
-        ctx.record_span(lbl, t0)
-        return result
-
-    def coll_reduce(ctx: RankCtx, lbl: str, payload):
-        if isinstance(payload, PayloadStub) and payload.nbytes != theta_nbytes:
-            nbytes = payload.nbytes
-            fast = _fast_path(nbytes)
-            algo, cost = _reduce_model(nbytes) if fast else ("fixed", 0.0)
+        if serial:
+            yield from serial_bcast(ctx, payload, root=0)
         else:
-            fast = theta_fast
-            algo, cost = theta_reduce_algo, theta_reduce_cost
-        if fast:
-            yield from _modeled_collective(ctx, lbl, cost, "reduce", algo)
-            return payload if ctx.rank == 0 else None
-        t0 = ctx.now
-        result = yield from reduce(ctx, payload, root=0, segment_bytes=seg)
+            yield from bcast(ctx, payload, root=0, segment_bytes=seg)
         ctx.record_span(lbl, t0)
-        return result
+
+    def coll_reduce(ctx: RankCtx, lbl: str, payload, price):
+        """Reduce ``payload`` to the master: the closed-form ``price``,
+        or the real tree when ``price`` is ``None``."""
+        if price is not None:
+            algo, cost = price
+            yield from _modeled_collective(ctx, lbl, cost, "reduce", algo)
+            return
+        t0 = ctx.now
+        yield from reduce(ctx, payload, root=0, segment_bytes=seg)
+        ctx.record_span(lbl, t0)
 
     def noisy(seconds: float, rng: np.random.Generator) -> float:
         return cfg.noise.perturb(seconds, rng)
@@ -597,94 +711,45 @@ def _make_programs(
 
     def master_program(ctx: RankCtx):
         yield from master_load(ctx)
-
-        # The per-phase compute charges are invariant across iterations
-        # (same frames, same machine shape), so evaluate the perf models
-        # once instead of once per loop body — identical floats, and the
-        # GEMM model drops out of the simulator's hot path.
-        hf_master_secs = wl.master_vector_op_seconds(4.0)
-        cg_minimize_secs = wl.master_vector_op_seconds(6.0)
-        if overlap:
-            # the master produces no gradient; its charge is the exposed
-            # communication behind the slowest worker's nominal compute
-            # (the barrier inside the modeled collective makes the actual
-            # straggler wait emergent either way)
-            master_exposed = _exposed(
-                wl.gradient_seconds(int(plan.grad_frames.max()), cores, tpc, rpn)
-            )
-        for it in range(cfg.script.n_iterations):
-            # gradient phase: theta out, gradient back
-            yield from coll_bcast(ctx, lbl_sync_master, theta)
-            if overlap:
+        for st in steps:
+            kind = st.kind
+            if kind == "bcast":
+                yield from coll_bcast(ctx, st.master_label, theta)
+            elif kind == "reduce":
+                yield from coll_reduce(ctx, st.master_label, theta, theta_reduce)
+            elif kind == "grad":
                 yield from _modeled_collective(
-                    ctx, lbl_reduce_grad, master_exposed, "reduce", grad_algo
+                    ctx, st.master_label, st.secs, "reduce", sched.grad_algo
                 )
-            else:
-                yield from coll_reduce(ctx, lbl_reduce_grad, theta)
-            yield from ctx.compute(hf_master_secs, label(COMPUTE, "hf_master"))
-            # CG loop
-            for _k in range(cfg.script.cg_iters[it]):
-                yield from coll_bcast(ctx, lbl_cg_bcast, theta)
-                yield from coll_reduce(ctx, lbl_cg_reduce, theta)
-                yield from ctx.compute(
-                    cg_minimize_secs, label(COMPUTE, "cg_minimize")
-                )
-            # held-out evaluations (CG backtracking + Armijo)
-            for _e in range(cfg.script.heldout_evals[it]):
-                yield from coll_bcast(ctx, lbl_sync_master, theta)
-                yield from coll_reduce(
-                    ctx, lbl_reduce_loss, PayloadStub(16, "loss")
-                )
+            elif kind == "master":
+                yield from ctx.compute(st.secs, st.master_label)
+            elif kind == "loss":
+                yield from coll_reduce(ctx, st.master_label, loss_stub, sched.loss)
         return ctx.now
 
     def make_worker(widx: int) -> Callable:
         def worker_program(ctx: RankCtx):
             rng = spawn(cfg.seed, "noise", widx)
             yield from worker_load(ctx, widx)
-
-            gf = int(plan.grad_frames[widx])
-            hf = int(plan.heldout_frames[widx])
-            # Invariant perf-model charges, hoisted out of the loops (the
-            # per-call noisy() perturbation stays inside so the rng draw
-            # sequence — and thus every simulated time — is unchanged).
-            gradient_secs = wl.gradient_seconds(gf, cores, tpc, rpn)
-            heldout_secs = wl.heldout_seconds(hf, cores, tpc, rpn)
-            loss_stub = PayloadStub(16, "loss")
-            for it in range(cfg.script.n_iterations):
-                yield from coll_bcast(ctx, lbl_sync)
-                g = noisy(gradient_secs, rng)
-                yield from ctx.compute(g, lbl_gradient)
-                if overlap:
-                    # full gradient compute already charged above; the
-                    # bucketed pipeline leaves only the exposed comm
+            secs = 0.0
+            for st in steps:
+                kind = st.kind
+                if kind == "bcast":
+                    yield from coll_bcast(ctx, st.worker_label)
+                elif kind == "work":
+                    secs = noisy(float(st.secs[widx]), rng)
+                    yield from ctx.compute(secs, st.worker_label)
+                elif kind == "reduce":
+                    yield from coll_reduce(ctx, st.worker_label, theta, theta_reduce)
+                elif kind == "grad":
+                    # the work step charged the full gradient compute;
+                    # the bucketed pipeline leaves only the exposed comm
                     yield from _modeled_collective(
-                        ctx, lbl_reduce_grad, _exposed(g), "reduce", grad_algo
+                        ctx, st.worker_label, exposed(secs), "reduce",
+                        sched.grad_algo,
                     )
-                else:
-                    yield from coll_reduce(ctx, lbl_reduce_grad, theta)
-                cf = int(plan.curv_frames[it][widx])
-                # per-CG-call forward cache (setup) charged on first product
-                setup = wl.curvature_setup_seconds(cf, cores, tpc, rpn)
-                product_secs = wl.curvature_product_seconds(cf, cores, tpc, rpn)
-                for k in range(cfg.script.cg_iters[it]):
-                    yield from coll_bcast(ctx, lbl_cg_bcast)
-                    secs = product_secs
-                    if k == 0:
-                        secs += setup
-                    yield from ctx.compute(
-                        noisy(secs, rng),
-                        lbl_curvature,
-                    )
-                    yield from coll_reduce(ctx, lbl_cg_reduce, theta)
-                for _e in range(cfg.script.heldout_evals[it]):
-                    yield from coll_bcast(ctx, lbl_sync)
-                    yield from ctx.compute(
-                        noisy(heldout_secs, rng),
-                        lbl_heldout,
-                    )
-                    yield from coll_reduce(
-                        ctx, lbl_reduce_loss, loss_stub
-                    )
+                elif kind == "loss":
+                    yield from coll_reduce(ctx, st.worker_label, loss_stub, sched.loss)
             return ctx.now
 
         return worker_program
@@ -694,27 +759,25 @@ def _make_programs(
         return [master_program] + [make_worker(w) for w in range(cfg.n_workers)]
 
     # ----------------------------------------------- fault-tolerant protocol
-    # Master-driven tagged p2p (DESIGN.md §8): every phase (gradient, one
-    # CG product, one held-out eval) gets a unique tag; the master sends
-    # work to each live worker and collects replies under that tag with a
-    # bounded timeout/retry/backoff loop.  Strict phases exclude workers
-    # that stay silent through all retries; quorum phases (CG) proceed
-    # once ``pol.cg_quorum`` of the live set replied, keeping stragglers
-    # in the protocol.  Work payloads are PayloadStubs whose ``kind``
-    # string ("grad:<it>", "cg:<it>:<k>", "eval:<it>:<e>", "shutdown")
-    # tells the worker what to compute and charge.
+    # Master-driven tagged p2p (DESIGN.md §8): every work step (gradient,
+    # one CG product, one held-out eval) becomes a phase with a unique
+    # tag; the master sends work to each live worker and collects replies
+    # under that tag with a bounded timeout/retry/backoff loop.  Strict
+    # phases exclude workers that stay silent through all retries; quorum
+    # phases (CG) proceed once ``pol.cg_quorum`` of the live set replied,
+    # keeping stragglers in the protocol.  Work payloads are PayloadStubs
+    # whose ``kind`` is the step name ("grad:<it>", "cg:<it>:<k>",
+    # "eval:<it>:<e>") or "shutdown"; the worker looks the step up by it.
     assert recovery is not None  # simulate_training builds one with the policy
+    theta_nbytes = wl.theta_bytes
     shutdown_stub = PayloadStub(4, "shutdown")
     lbl_collect = label(P2P, "ft_collect")
     lbl_restart = label(COMPUTE, "master_restart")
-    lbl_hf_master = label(COMPUTE, "hf_master")
-    lbl_cg_minimize = label(COMPUTE, "cg_minimize")
     total_frames = float(plan.grad_frames.sum())
+    work_steps = {st.name: st for st in steps if st.kind == "work"}
 
     def ft_master(ctx: RankCtx):
         yield from master_load(ctx)
-        hf_master_secs = wl.master_vector_op_seconds(4.0)
-        cg_minimize_secs = wl.master_vector_op_seconds(6.0)
         live = list(range(1, shape.ranks))
         phase = [0]
         lost_frames = [0.0]
@@ -804,9 +867,15 @@ def _make_programs(
             ctx.record_span(lbl_collect, t0)
             return replied
 
-        for it in range(cfg.script.n_iterations):
+        for st in steps:
+            if st.kind == "master":
+                yield from ctx.compute(st.secs, st.master_label)
+                continue
+            if st.kind != "work":
+                continue  # dispatch/collect stands in for the collectives
             if (
-                restart_at is not None
+                st.name.startswith("grad:")
+                and restart_at is not None
                 and not restarted
                 and ctx.now >= restart_at
             ):
@@ -817,27 +886,15 @@ def _make_programs(
                 yield from ctx.compute(pol.restart_seconds, lbl_restart)
                 recovery.add(
                     ctx.now, "master_restart", 0,
-                    f"checkpoint-restart resumed before iteration {it} "
+                    "checkpoint-restart resumed before iteration "
+                    f"{st.name.partition(':')[2]} "
                     f"({pol.restart_seconds:g}s modeled reload)",
                 )
+            cg = st.name.startswith("cg:")
             yield from dispatch_collect(
-                f"grad:{it}", PayloadStub(theta_nbytes, f"grad:{it}"),
-                1.0, True,
+                st.name, PayloadStub(theta_nbytes, st.name),
+                pol.cg_quorum if cg else 1.0, not cg,
             )
-            yield from ctx.compute(hf_master_secs, lbl_hf_master)
-            for k in range(cfg.script.cg_iters[it]):
-                yield from dispatch_collect(
-                    f"cg:{it}:{k}",
-                    PayloadStub(theta_nbytes, f"cg:{it}:{k}"),
-                    pol.cg_quorum, False,
-                )
-                yield from ctx.compute(cg_minimize_secs, lbl_cg_minimize)
-            for e in range(cfg.script.heldout_evals[it]):
-                yield from dispatch_collect(
-                    f"eval:{it}:{e}",
-                    PayloadStub(theta_nbytes, f"eval:{it}:{e}"),
-                    1.0, True,
-                )
         tag = _TAG_WORK0 + phase[0]
         for w in live:
             yield from ctx.send(w, shutdown_stub, tag=tag)
@@ -847,11 +904,6 @@ def _make_programs(
         def ft_worker(ctx: RankCtx):
             rng = spawn(cfg.seed, "noise", widx)
             yield from worker_load(ctx, widx)
-            gf = int(plan.grad_frames[widx])
-            hfr = int(plan.heldout_frames[widx])
-            gradient_secs = wl.gradient_seconds(gf, cores, tpc, rpn)
-            heldout_secs = wl.heldout_seconds(hfr, cores, tpc, rpn)
-            loss_stub = PayloadStub(16, "loss")
             last_tag = -1
             last_reply = loss_stub
             while True:
@@ -864,22 +916,11 @@ def _make_programs(
                     # reply): retransmit the cached reply, don't recompute
                     yield from ctx.send(0, last_reply, tag=msg.tag)
                     continue
-                parts = kind.split(":")
-                op = parts[0]
-                if op == "grad":
-                    yield from ctx.compute(noisy(gradient_secs, rng), lbl_gradient)
-                    reply: PayloadStub = theta
-                elif op == "cg":
-                    it, k = int(parts[1]), int(parts[2])
-                    cf = int(plan.curv_frames[it][widx])
-                    secs = wl.curvature_product_seconds(cf, cores, tpc, rpn)
-                    if k == 0:
-                        secs += wl.curvature_setup_seconds(cf, cores, tpc, rpn)
-                    yield from ctx.compute(noisy(secs, rng), lbl_curvature)
-                    reply = theta
-                else:  # "eval"
-                    yield from ctx.compute(noisy(heldout_secs, rng), lbl_heldout)
-                    reply = loss_stub
+                st = work_steps[kind]
+                yield from ctx.compute(
+                    noisy(float(st.secs[widx]), rng), st.worker_label
+                )
+                reply = loss_stub if kind.startswith("eval:") else theta
                 yield from ctx.send(0, reply, tag=msg.tag)
                 last_tag = msg.tag
                 last_reply = reply
@@ -894,7 +935,7 @@ def simulate_training(
     cfg: SimJobConfig,
     obs: object | None = None,
     trace_p2p: bool = False,
-    vector: bool | None = None,
+    vector: bool = True,
 ) -> SimRunResult:
     """Run one simulated training configuration to completion.
 
@@ -907,11 +948,10 @@ def simulate_training(
     ``mpi_send``/``mpi_recv`` spans (heavy at scale; meant for
     ``repro trace`` exports of small shapes).
 
-    ``vector`` controls the SPMD fast path
-    (:mod:`repro.dist.vectorized`): ``None`` follows the
-    ``REPRO_SIM_VECTOR`` env toggle (default on), ``False`` forces the
-    scalar scheduler, ``True`` requests the fast path.  Either way the
-    fast path only engages when the run is eligible (see
+    ``vector`` requests the SPMD fast path
+    (:mod:`repro.dist.vectorized`; the default), ``False`` forces the
+    scalar scheduler.  The fast path only engages when the run is
+    eligible (see
     :func:`repro.dist.vectorized.vector_fallback_reason`; DESIGN.md
     §6e) — heterogeneous runs (faults, recovery, staged load, serial
     bcast, non-power-of-two ranks, small-theta shapes) fall back to the
@@ -978,21 +1018,16 @@ def simulate_training(
         )
         obs.add_collector(lambda: phase_records(tracer, cfg.shape.ranks, spec))
     load_done = [0.0]
-    from repro.dist.vectorized import (
-        run_vectorized,
-        vector_enabled,
-        vector_fallback_reason,
-    )
+    from repro.dist.vectorized import run_vectorized, vector_fallback_reason
 
+    sched = _schedule(cfg, plan, network, policy)
     fallback = (
-        vector_fallback_reason(cfg, network, trace_p2p)
-        if vector_enabled(vector)
-        else "disabled"
+        vector_fallback_reason(cfg, network, trace_p2p) if vector else "disabled"
     )
     if fallback is None:
         execution_path = "vector"
         end_time, phase_log = run_vectorized(
-            cfg, plan, network, policy, comm, load_done
+            cfg, plan, sched, network, comm, load_done
         )
     else:
         # only a *requested* fast path that could not engage is a
@@ -1005,8 +1040,7 @@ def simulate_training(
                 "scalar scheduler", fallback, cfg.shape.ranks,
             )
         programs = _make_programs(
-            cfg, plan, load_done, network, policy,
-            injector=injector, recovery=recovery,
+            cfg, plan, sched, load_done, injector=injector, recovery=recovery
         )
         end_time, _values = comm.run(programs)
         phase_log = None

@@ -2,16 +2,15 @@
 
 When every rank runs the same program shape — the synchronous collective
 protocol of :mod:`repro.dist.simulated` with no faults, binomial control
-trees, and a power-of-two communicator — the per-iteration schedule is a
-fixed sequence of *homogeneous phases*: a modeled-collective barrier
-(4-byte sync reduce + 4-byte go bcast + closed-form transfer charge,
-priced either by the fixed closed forms or by the same memoized
-``collective_selection="auto"`` policy the scalar path consults), a
-per-worker compute charge, a master compute charge, a real 16-byte
-binomial loss reduction, or — with ``overlap_gradient`` — a per-rank
-exposed-communication charge from the DDP-style bucketed
-:func:`~repro.nn.parallel_sgd.overlap_schedule`.  This module
-replays that schedule as numpy operations over the per-rank clock vector
+trees, and a power-of-two communicator — each step of the trainer's
+schedule (built once by ``repro.dist.simulated._schedule`` and walked by
+the scalar programs too) is a *homogeneous phase*: a modeled-collective
+barrier (4-byte sync reduce + 4-byte go bcast + the schedule's
+closed-form transfer charge), a per-worker compute charge, a master
+compute charge, a real 16-byte binomial loss reduction, or — with
+``overlap_gradient`` — a per-rank exposed-communication charge from the
+schedule's bucketed-overlap model.  This module
+replays those steps as numpy operations over the per-rank clock vector
 — one heap event per phase via :class:`repro.sim.engine.VectorPhase`
 instead of O(ranks) generator steps per collective — and reproduces the
 scalar scheduler's virtual times, message counts, span totals, and comm
@@ -40,31 +39,18 @@ Bit-identity discipline (DESIGN.md §6e):
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable
 
 import numpy as np
 
 from repro.bgq.kernel import CnkNoise
 from repro.bgq.network import TorusNetworkModel
-from repro.dist.timeline import COLL, COMPUTE, P2P, label
-from repro.nn.parallel_sgd import exposed_comm_model
+from repro.dist.timeline import COMPUTE, P2P, label
 from repro.sim.engine import VectorPhase
-from repro.vmpi.collcost import (
-    bcast_cost,
-    collective_params,
-    fixed_reduce_cost_fn,
-    reduce_cost,
-)
 from repro.vmpi.collectives import binomial_levels
 from repro.vmpi.costmodel import UniformNetwork
 
-__all__ = [
-    "run_vectorized",
-    "vector_eligible",
-    "vector_enabled",
-    "vector_fallback_reason",
-]
+__all__ = ["run_vectorized", "vector_fallback_reason"]
 
 _SYNC_BYTES = 4
 """Sync/go stub size inside a modeled collective's emergent barrier."""
@@ -73,24 +59,14 @@ _LOSS_BYTES = 16
 """Loss payload reduced through the real binomial tree every eval."""
 
 
-def vector_enabled(vector: bool | None) -> bool:
-    """Resolve the run-level switch: an explicit ``vector`` argument wins,
-    otherwise the ``REPRO_SIM_VECTOR`` env toggle (default on)."""
-    if vector is not None:
-        return bool(vector)
-    return os.environ.get("REPRO_SIM_VECTOR", "1") != "0"
-
-
 def vector_fallback_reason(cfg: Any, network: Any, trace_p2p: bool) -> str | None:
     """Why the run cannot take the vector fast path, or ``None`` if it can.
 
     The run is eligible iff it is exactly the homogeneous SPMD protocol
     the vector executor replays bit-identically — including
-    ``collective_selection="auto"`` (the vector path prices every phase
-    through the same memoized :class:`~repro.vmpi.algoselect.\
-CollectivePolicy` the scalar path consults) and ``overlap_gradient``
-    (the bucketed pipeline becomes a per-rank exposed-comm vector
-    phase).  Any failing condition falls back to the per-process scalar
+    ``collective_selection="auto"`` and ``overlap_gradient`` (both
+    executors charge the prices and the exposed-comm model of the one
+    schedule).  Any failing condition falls back to the per-process scalar
     scheduler; the returned slug labels the
     ``sim.vector.fallback{reason=...}`` counter
     :func:`~repro.dist.simulated.simulate_training` records so silent
@@ -143,14 +119,6 @@ CollectivePolicy` the scalar path consults) and ``overlap_gradient``
     if type(network) not in (TorusNetworkModel, UniformNetwork):
         return "network_model"
     return None
-
-
-def vector_eligible(cfg: Any, network: Any, trace_p2p: bool) -> bool:
-    """True iff the run is exactly the homogeneous SPMD protocol the
-    vector executor replays bit-identically (the conditions — and the
-    per-condition fallback slugs — live on
-    :func:`vector_fallback_reason`)."""
-    return vector_fallback_reason(cfg, network, trace_p2p) is None
 
 
 # ------------------------------------------------------------- cost tables
@@ -224,8 +192,8 @@ class _VectorRun:
         self,
         cfg: Any,
         plan: Any,
+        sched: Any,
         network: Any,
-        policy: Any,
         comm: Any,
         load_done: list[float],
     ) -> None:
@@ -237,14 +205,6 @@ class _VectorRun:
         self.tracer = comm.tracer
 
         p = self.p = cfg.shape.ranks
-        wl = cfg.workload
-        shape = cfg.shape
-        cores, tpc, rpn = (
-            shape.cores_per_rank,
-            shape.threads_per_core,
-            shape.ranks_per_node,
-        )
-
         self.cur = np.zeros(p, dtype=np.float64)
         self.busy_up = np.zeros(p, dtype=np.float64)
         self.busy_dn = np.zeros(p, dtype=np.float64)
@@ -261,68 +221,6 @@ class _VectorRun:
             network.injection_time(_LOSS_BYTES),
         ]
 
-        # theta routing frozen once, exactly like _make_programs
-        theta_nbytes = wl.theta_bytes
-        alpha, coll_bw = collective_params(network)
-        if policy is not None:
-            algo, cost = policy.bcast_choice(p, theta_nbytes)
-            b_algo, b_cost = str(algo), cost
-            algo, cost = policy.reduce_choice(p, theta_nbytes)
-            r_algo, r_cost = str(algo), cost
-        else:
-            b_algo = r_algo = "fixed"
-            b_cost = bcast_cost(p, theta_nbytes, alpha, coll_bw)
-            r_cost = reduce_cost(p, theta_nbytes, alpha, coll_bw)
-
-        # invariant per-worker compute charges (the scalar programs hoist
-        # these identically; CnkNoise.perturb is the identity)
-        grad_secs = wl.per_worker_seconds("gradient", plan.grad_frames, cores, tpc, rpn)
-        held_secs = wl.per_worker_seconds(
-            "heldout", plan.heldout_frames, cores, tpc, rpn
-        )
-
-        # DDP-style bucketed gradient overlap: the same cost model the
-        # scalar trainer builds (one exposed-comm charge per rank in
-        # place of the full theta reduction), evaluated once per unique
-        # per-worker gradient time and gathered back over the rank
-        # vector.  The master's charge replicates the scalar master's
-        # slowest-worker nominal compute.
-        overlap_cost = None
-        grad_algo = r_algo
-        if cfg.overlap_gradient:
-            layer_bytes = [
-                (i * o + o) * wl.dtype_bytes for i, o in wl.geometry.layer_pairs()
-            ]
-            cost_fn = (
-                policy.reduce_cost_fn(p)
-                if policy is not None
-                else fixed_reduce_cost_fn(p, network)
-            )
-            _bucket_plan, exposed = exposed_comm_model(
-                layer_bytes, cfg.gradient_bucket_bytes, theta_nbytes, cost_fn
-            )
-            grad_algo = r_algo + "+overlap"
-            overlap_cost = np.empty(p, dtype=np.float64)
-            overlap_cost[0] = exposed(
-                wl.gradient_seconds(int(plan.grad_frames.max()), cores, tpc, rpn)
-            )
-            uniq, inv = np.unique(grad_secs, return_inverse=True)
-            overlap_cost[1:] = np.array(
-                [exposed(float(g)) for g in uniq], dtype=np.float64
-            )[inv]
-        hf_master_secs = wl.master_vector_op_seconds(4.0)
-        cg_minimize_secs = wl.master_vector_op_seconds(6.0)
-
-        lbl_sync_master = label(COLL, "sync_weights_master")
-        lbl_sync = label(COLL, "sync_weights")
-        lbl_cg_bcast = label(COLL, "cg_bcast")
-        lbl_cg_reduce = label(COLL, "cg_reduce")
-        lbl_reduce_grad = label(COLL, "reduce_gradient")
-        lbl_reduce_loss = label(COLL, "reduce_loss")
-        lbl_gradient = label(COMPUTE, "gradient_loss")
-        lbl_curvature = label(COMPUTE, "worker_curvature_product")
-        lbl_heldout = label(COMPUTE, "heldout_loss")
-
         self.phases: list[Callable[[float], tuple[float, Any]]] = []
         self.phase_labels: list[str] = []
         """One label per phase (the worker-side span label), parallel to
@@ -333,52 +231,33 @@ class _VectorRun:
         self.n_barriers = 0
         self.n_loss = 0
 
+        # one phase per schedule step; CnkNoise.perturb is the identity,
+        # so every rank's charge is the step's nominal one
         self.phases.append(self._load_phase())
-        for it in range(cfg.script.n_iterations):
-            self._add_barrier("bcast", b_algo, b_cost, lbl_sync_master, lbl_sync)
-            self._add_compute_workers(grad_secs, lbl_gradient)
-            if overlap_cost is None:
-                self._add_barrier(
-                    "reduce", r_algo, r_cost, lbl_reduce_grad, lbl_reduce_grad
-                )
-            else:
-                # bucketed pipeline: the full gradient compute is already
-                # charged above; the reduction leaves only each rank's
-                # exposed communication
-                self._add_barrier(
-                    "reduce",
-                    grad_algo,
-                    overlap_cost,
-                    lbl_reduce_grad,
-                    lbl_reduce_grad,
-                )
-            self._add_compute_master(hf_master_secs, label(COMPUTE, "hf_master"))
-            setup = wl.per_worker_seconds(
-                "curvature_setup", plan.curv_frames[it], cores, tpc, rpn
-            )
-            product = wl.per_worker_seconds(
-                "curvature_product", plan.curv_frames[it], cores, tpc, rpn
-            )
-            first_product = product + setup  # scalar order: product += setup
-            for k in range(cfg.script.cg_iters[it]):
-                self._add_barrier(
-                    "bcast", b_algo, b_cost, lbl_cg_bcast, lbl_cg_bcast
-                )
-                self._add_compute_workers(
-                    first_product if k == 0 else product, lbl_curvature
-                )
-                self._add_barrier(
-                    "reduce", r_algo, r_cost, lbl_cg_reduce, lbl_cg_reduce
-                )
-                self._add_compute_master(
-                    cg_minimize_secs, label(COMPUTE, "cg_minimize")
-                )
-            for _e in range(cfg.script.heldout_evals[it]):
-                self._add_barrier(
-                    "bcast", b_algo, b_cost, lbl_sync_master, lbl_sync
-                )
-                self._add_compute_workers(held_secs, lbl_heldout)
-                self._add_loss_reduce(lbl_reduce_loss)
+        work_secs = None
+        for st in sched.steps:
+            kind = st.kind
+            if kind == "work":
+                work_secs = st.secs
+                self._add_compute_workers(work_secs, st.worker_label)
+            elif kind == "master":
+                self._add_compute_master(st.secs, st.master_label)
+            elif kind == "loss":
+                self._add_loss_reduce(st.master_label)
+            else:  # bcast, reduce or grad: a modeled-collective barrier
+                op = "bcast" if kind == "bcast" else "reduce"
+                algo, cost = sched.bcast if kind == "bcast" else sched.reduce
+                if kind == "grad":
+                    # bucketed pipeline: each rank's exposed communication,
+                    # priced once per unique gradient time and gathered back
+                    uniq, inv = np.unique(work_secs, return_inverse=True)
+                    algo = sched.grad_algo
+                    cost = np.empty(p, dtype=np.float64)
+                    cost[0] = st.secs
+                    cost[1:] = np.array(
+                        [sched.exposed(float(g)) for g in uniq], dtype=np.float64
+                    )[inv]
+                self._add_barrier(op, algo, cost, st.master_label, st.worker_label)
 
     # ---------------------------------------------------------- tree kernels
     def up_sweep(self, cost_idx: int) -> None:
@@ -633,17 +512,19 @@ class _VectorRun:
 def run_vectorized(
     cfg: Any,
     plan: Any,
+    sched: Any,
     network: Any,
-    policy: Any,
     comm: Any,
     load_done: list[float],
 ) -> tuple[float, list[tuple[str, float, int]]]:
-    """Execute one eligible SPMD run on the vector fast path.
+    """Execute one eligible SPMD run on the vector fast path, one phase
+    per step of the trainer's schedule (``sched``, built by
+    :func:`repro.dist.simulated._schedule`).
 
     Returns ``(virtual end time, phase log)`` where the end time equals
     ``Engine.finish_time`` and the phase log holds one
     ``(label, end, straggler_rank)`` entry per executed phase — the
     aggregate-level dependency chain the critical-path pass consumes.
     """
-    run = _VectorRun(cfg, plan, network, policy, comm, load_done)
+    run = _VectorRun(cfg, plan, sched, network, comm, load_done)
     return run.execute(), run.phase_log

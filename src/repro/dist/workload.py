@@ -181,16 +181,18 @@ class SimWorkload:
     def per_worker_seconds(
         self, kind: str, frames, cores: float, tpc: int, rpn: int = 1
     ):
-        """Vectorized per-worker phase times for the SPMD fast path.
+        """Vectorized per-worker phase times for the trainer's schedule.
 
         ``frames`` is an integer array of per-worker frame counts;
         returns a float64 array where element ``i`` is **the identical
         scalar call** ``<kind>_seconds(int(frames[i]), cores, tpc, rpn)``
         — the model is evaluated once per *unique* frame count (balanced
-        partitioning repeats counts heavily) and gathered back, so the
-        result is bit-for-bit what the per-rank program loop computes,
-        at O(unique) model cost.  ``kind`` is one of ``gradient``,
-        ``curvature_setup``, ``curvature_product``, ``heldout``.
+        partitioning repeats counts heavily) and gathered back, at
+        O(unique) model cost.  The simulated trainer builds every
+        worker charge this way once per run; the scalar, fault-tolerant
+        and vector executors all index the same arrays.  ``kind`` is one
+        of ``gradient``, ``curvature_setup``, ``curvature_product``,
+        ``heldout``.
         """
         fn = getattr(self, f"{kind}_seconds")
         frames = np.asarray(frames)

@@ -156,7 +156,7 @@ def bench_bcast_fanout(ranks: int = 256, rounds: int = 16) -> dict[str, Any]:
 def bench_macro(
     shape: str = "4096-4-16",
     obs: Any | None = None,
-    vector: bool | None = None,
+    vector: bool = True,
     auto_overlap: bool = False,
 ) -> dict[str, Any]:
     """One full simulated training run — the acceptance-criterion
@@ -243,7 +243,7 @@ def registry_metrics_block(reg: Any) -> dict[str, Any]:
 def bench_macro_obs(
     shape: str,
     registry_sink: list[Any] | None = None,
-    vector: bool | None = None,
+    vector: bool = True,
     auto_overlap: bool = False,
 ) -> dict[str, Any]:
     """:func:`bench_macro` with a fresh metrics registry attached — the

@@ -225,10 +225,10 @@ def exposed_comm_model(
     cannot hide behind that rank's compute — the only gradient-sync
     charge an overlapping trainer pays.
 
-    Both the scalar scheduler (:mod:`repro.dist.simulated`) and the SPMD
-    vector fast path (:mod:`repro.dist.vectorized`) construct their
-    overlap phase through this one function, so their per-rank exposed
-    costs are bit-identical by construction.
+    The simulated trainer calls this once per run, while building its
+    iteration schedule (:mod:`repro.dist.simulated`); the scalar rank
+    programs and the SPMD vector fast path both charge through the one
+    returned ``exposed``, so their per-rank costs agree bit for bit.
     """
     plan = GradientBucketPlan.from_layers(layer_bytes, cap_bytes)
     bucket_costs = [reduce_cost_fn(b) for b in plan.bucket_bytes]

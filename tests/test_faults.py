@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.bgq import RunShape
+from repro.bgq.kernel import CnkNoise, LinuxJitter
 from repro.dist import (
     IterationScript,
     ModelGeometry,
@@ -282,6 +283,35 @@ class TestZeroCost:
         cfg = _job(ranks=8, fault_plan=FaultPlan(events=(NodeCrash(rank=3, at=0.05),)))
         with pytest.raises(DeadlockError):
             simulate_training(cfg)
+
+    @pytest.mark.parametrize(
+        "noise", [CnkNoise(), LinuxJitter()], ids=["cnk", "linux_jitter"]
+    )
+    def test_protocols_charge_the_same_compute(self, noise):
+        """With no faults, the fault-tolerant protocol charges every rank
+        the compute the collective protocol does: the same steps, and the
+        same noise draws in the same order.  Span durations are taken as
+        ``(t0 + s) - t0`` at each protocol's own clock, so totals agree
+        to rounding; a misordered draw under jitter is off by percent."""
+        ranks = 16
+        plain = simulate_training(_job(ranks=ranks, noise=noise))
+        tolerant = simulate_training(
+            _job(
+                ranks=ranks, noise=noise, fault_plan=FaultPlan(),
+                fault_policy=FaultPolicy(recv_timeout=3600.0),
+            )
+        )
+        assert tolerant.recovery.events == []
+        for r in range(ranks):
+            want, got = (
+                {
+                    k: v
+                    for k, v in res.tracer.totals(f"rank{r}").items()
+                    if k.startswith("compute.")
+                }
+                for res in (plain, tolerant)
+            )
+            assert want and got == pytest.approx(want, rel=1e-12, abs=0), r
 
 
 class TestPolicyGoldens:

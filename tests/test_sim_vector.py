@@ -22,7 +22,6 @@ differ:
 """
 
 import json
-import os
 
 import pytest
 
@@ -86,19 +85,18 @@ def test_vector_matches_scalar_bit_for_bit(spec):
             assert ta[k] == tb[k], (r, k)
 
 
-def test_vector_env_toggle(monkeypatch):
-    """``REPRO_SIM_VECTOR=0|1`` forces the path when ``vector`` is None,
-    observable through the ``sim.vector_phases`` counter."""
+def test_vector_keyword_toggle():
+    """``vector=False|True`` forces the path, observable through the
+    ``sim.vector_phases`` counter."""
     counts = {}
-    for env in ("0", "1"):
-        monkeypatch.setenv("REPRO_SIM_VECTOR", env)
+    for vector in (False, True):
         reg = MetricsRegistry()
-        _run("64-4-16", vector=None, obs=reg)
-        counts[env] = (_vector_phases(reg), _events_total(reg))
-    assert counts["0"][0] == 0
-    assert counts["1"][0] > 0
+        _run("64-4-16", vector=vector, obs=reg)
+        counts[vector] = (_vector_phases(reg), _events_total(reg))
+    assert counts[False][0] == 0
+    assert counts[True][0] > 0
     # the fast path's raison d'être: far fewer engine events
-    assert counts["1"][1] < counts["0"][1] / 50
+    assert counts[True][1] < counts[False][1] / 50
 
 
 def test_vector_metrics_snapshot_matches_scalar():
@@ -247,10 +245,9 @@ def test_vector_fallback_reason_recorded():
 
 
 def test_run_shape_unchanged_by_vector_default():
-    """The default path (env unset) must be the vector fast path for
-    eligible shapes — the PR flips it on by default."""
-    env = os.environ.get("REPRO_SIM_VECTOR")
-    assert env is None or env == "1"
+    """With ``vector`` left at its default, eligible shapes take the
+    vector fast path."""
     reg = MetricsRegistry()
-    _run("64-4-16", vector=None, obs=reg)
+    res = simulate_training(_cfg("64-4-16"), obs=reg)
     assert _vector_phases(reg) > 0
+    assert res.execution_path == "vector"

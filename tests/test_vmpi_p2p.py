@@ -117,6 +117,23 @@ def test_negative_tag_rejected():
         run_spmd(1, prog)
 
 
+def test_sendrecv_to_invalid_rank_raises():
+    def prog(ctx):
+        yield from ctx.sendrecv(-1, "x", source=0)
+
+    with pytest.raises(ValueError, match="invalid rank"):
+        run_spmd(4, prog)
+
+
+def test_sendrecv_negative_tag_rejected():
+    def prog(ctx):
+        partner = 1 - ctx.rank
+        yield from ctx.sendrecv(partner, "x", source=partner, tag=-1)
+
+    with pytest.raises(ValueError, match="tag"):
+        run_spmd(2, prog)
+
+
 def test_sendrecv_exchange():
     def prog(ctx):
         partner = 1 - ctx.rank
