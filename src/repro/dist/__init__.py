@@ -9,6 +9,10 @@ Three cooperating backends over the shared master/worker protocol:
   paper's timing figures;
 * :mod:`~repro.dist.partition` — the Section V-C utterance load
   balancer both backends share.
+
+Workers derive each curvature mini-sample from a broadcast seed with
+:func:`repro.hf.sources.curvature_sample`, the same draw the serial
+sources make.
 """
 
 from repro.dist.partition import (
@@ -17,13 +21,7 @@ from repro.dist.partition import (
     imbalance,
     naive_partition,
 )
-from repro.dist.protocol import (
-    FrameShard,
-    SequenceShard,
-    global_frame_sample,
-    global_utterance_sample,
-    sample_size,
-)
+from repro.dist.protocol import FrameShard, SequenceShard
 from repro.dist.script import IterationScript, calibrate_script, default_script
 from repro.dist.simulated import SimJobConfig, SimRunResult, simulate_training
 from repro.dist.threaded import (
@@ -56,9 +54,6 @@ __all__ = [
     "naive_partition",
     "FrameShard",
     "SequenceShard",
-    "global_frame_sample",
-    "global_utterance_sample",
-    "sample_size",
     "IterationScript",
     "calibrate_script",
     "default_script",

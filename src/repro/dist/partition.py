@@ -28,57 +28,61 @@ import numpy as np
 __all__ = ["Assignment", "naive_partition", "balanced_partition", "imbalance"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Assignment:
-    """Utterance indices per worker, plus the length table used."""
+    """The owning worker of every utterance, plus the length table used.
 
-    workers: tuple[tuple[int, ...], ...]
-    lengths: tuple[int, ...]
+    ``owner[u]`` is the worker index of utterance ``u``, so every
+    utterance has exactly one owner by construction; per-worker loads
+    are one ``bincount`` over it.
+    """
+
+    owner: np.ndarray  # (utterances,) int64 worker index
+    lengths: np.ndarray  # (utterances,) int64 frames
+    n_workers: int
 
     def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for w in self.workers:
-            for u in w:
-                if u in seen:
-                    raise ValueError(f"utterance {u} assigned twice")
-                if not 0 <= u < len(self.lengths):
-                    raise ValueError(f"utterance index {u} out of range")
-                seen.add(u)
-        if len(seen) != len(self.lengths):
+        if self.owner.shape != self.lengths.shape or self.owner.ndim != 1:
             raise ValueError(
-                f"{len(self.lengths) - len(seen)} utterances unassigned"
+                f"owner {self.owner.shape} and lengths {self.lengths.shape} "
+                "must be aligned 1-D arrays"
             )
+        if self.owner.size and (
+            self.owner.min() < 0 or self.owner.max() >= self.n_workers
+        ):
+            raise ValueError(f"owner index out of range for {self.n_workers} workers")
 
     @property
-    def n_workers(self) -> int:
-        return len(self.workers)
+    def workers(self) -> list[np.ndarray]:
+        """Ascending utterance indices of each worker."""
+        order = np.argsort(self.owner, kind="stable")
+        counts = np.bincount(self.owner, minlength=self.n_workers)
+        return np.split(order, np.cumsum(counts)[:-1])
 
     def frames_per_worker(self) -> np.ndarray:
-        return np.array(
-            [sum(self.lengths[u] for u in w) for w in self.workers], dtype=np.int64
-        )
+        # float64 weights are exact: total frames stay far below 2**53
+        return np.bincount(
+            self.owner, weights=self.lengths, minlength=self.n_workers
+        ).astype(np.int64)
 
 
-def _check(lengths: Sequence[int], n_workers: int) -> None:
+def _checked_lengths(lengths: Sequence[int], n_workers: int) -> np.ndarray:
+    arr = np.asarray(lengths, dtype=np.int64)
     if n_workers < 1:
         raise ValueError(f"need >= 1 worker, got {n_workers}")
-    if len(lengths) < n_workers:
+    if arr.size < n_workers:
         raise ValueError(
-            f"cannot spread {len(lengths)} utterances over {n_workers} workers"
+            f"cannot spread {arr.size} utterances over {n_workers} workers"
         )
-    if any(l < 1 for l in lengths):
+    if arr.min() < 1:
         raise ValueError("all utterance lengths must be >= 1")
+    return arr
 
 
 def naive_partition(lengths: Sequence[int], n_workers: int) -> Assignment:
     """Round-robin by utterance index, ignoring lengths."""
-    _check(lengths, n_workers)
-    buckets: list[list[int]] = [[] for _ in range(n_workers)]
-    for i in range(len(lengths)):
-        buckets[i % n_workers].append(i)
-    return Assignment(
-        workers=tuple(tuple(b) for b in buckets), lengths=tuple(lengths)
-    )
+    arr = _checked_lengths(lengths, n_workers)
+    return Assignment(np.arange(arr.size) % n_workers, arr, n_workers)
 
 
 def balanced_partition(lengths: Sequence[int], n_workers: int) -> Assignment:
@@ -87,22 +91,20 @@ def balanced_partition(lengths: Sequence[int], n_workers: int) -> Assignment:
     Ties break on worker index, so the result is deterministic for a
     given length table — required for cross-backend reproducibility.
     """
-    _check(lengths, n_workers)
-    arr = np.asarray(lengths, dtype=np.int64)
+    arr = _checked_lengths(lengths, n_workers)
+    lens = arr.tolist()
     # lexsort's last key is primary: sort by -length, ties by index —
     # identical order to sorted(..., key=lambda i: (-lengths[i], i)) but
     # vectorized (the pure-Python sort dominated planning time at scale)
     order = np.lexsort((np.arange(arr.size), -arr)).tolist()
     heap: list[tuple[int, int]] = [(0, w) for w in range(n_workers)]
     heapq.heapify(heap)
-    buckets: list[list[int]] = [[] for _ in range(n_workers)]
+    owner = [0] * arr.size
     for i in order:
         load, w = heapq.heappop(heap)
-        buckets[w].append(i)
-        heapq.heappush(heap, (load + lengths[i], w))
-    return Assignment(
-        workers=tuple(tuple(sorted(b)) for b in buckets), lengths=tuple(lengths)
-    )
+        owner[i] = w
+        heapq.heappush(heap, (load + lens[i], w))
+    return Assignment(np.array(owner, dtype=np.int64), arr, n_workers)
 
 
 def imbalance(assignment: Assignment) -> float:

@@ -11,9 +11,9 @@ gather (rank-ordered fold at the master, so reduced floats are
 independent of thread scheduling).  Curvature mini-samples are *derived,
 not shipped*: the master broadcasts only a seed, and every worker
 recomputes the same global sample with
-:func:`global_frame_sample` / :func:`global_utterance_sample` and keeps
-its intersection — the paper's "the right set of utterances to adhere to
-the randomness needed by the algorithm".
+:func:`repro.hf.sources.curvature_sample` (the draw the serial sources
+make) and keeps its intersection — the paper's "the right set of
+utterances to adhere to the randomness needed by the algorithm".
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.hf.sources import slice_batch
 from repro.nn.losses import SequenceBatchTargets, UtteranceSpan
-from repro.util.rng import spawn
 
 __all__ = [
     "CMD_GRADIENT",
@@ -34,9 +34,6 @@ __all__ = [
     "CMD_STOP",
     "FrameShard",
     "SequenceShard",
-    "global_frame_sample",
-    "global_utterance_sample",
-    "sample_size",
 ]
 
 CMD_GRADIENT = "gradient"
@@ -44,38 +41,6 @@ CMD_CURV_SETUP = "curv_setup"
 CMD_CURV = "curv"
 CMD_HELDOUT = "heldout"
 CMD_STOP = "stop"
-
-
-def sample_size(total: int, fraction: float) -> int:
-    """Global curvature-sample size — one formula for every backend."""
-    if total < 1:
-        raise ValueError(f"total must be >= 1: {total}")
-    if not 0 < fraction <= 1:
-        raise ValueError(f"fraction must be in (0,1]: {fraction}")
-    return max(1, int(round(fraction * total)))
-
-
-def global_frame_sample(
-    total_frames: int, fraction: float, base_seed: int, sample_seed: int
-) -> np.ndarray:
-    """The frame indices of one curvature mini-sample (sorted).
-
-    Identical to :meth:`repro.hf.sources.FrameSource.
-    curvature_sample_indices` by construction — serial and distributed
-    runs draw the *same* sample.
-    """
-    k = sample_size(total_frames, fraction)
-    rng = spawn(base_seed, "curvature", sample_seed)
-    return np.sort(rng.choice(total_frames, size=k, replace=False))
-
-
-def global_utterance_sample(
-    total_utts: int, fraction: float, base_seed: int, sample_seed: int
-) -> np.ndarray:
-    """Utterance-level analogue for sequence criteria."""
-    k = sample_size(total_utts, fraction)
-    rng = spawn(base_seed, "curvature", sample_seed)
-    return np.sort(rng.choice(total_utts, size=k, replace=False))
 
 
 @dataclass
@@ -133,20 +98,7 @@ class SequenceShard:
         self, global_sample: np.ndarray
     ) -> tuple[np.ndarray, SequenceBatchTargets] | None:
         """(x, targets) for the owned subset of the sample, or None."""
-        own = [
-            i
-            for i, gid in enumerate(self.global_utt_ids)
-            if gid in set(global_sample.tolist())
-        ]
-        if not own:
+        own = np.flatnonzero(np.isin(self.global_utt_ids, global_sample))
+        if own.size == 0:
             return None
-        pieces = []
-        rebased = []
-        pos = 0
-        for i in own:
-            s = self.spans[i]
-            pieces.append(self.x[s.start : s.end])
-            length = s.end - s.start
-            rebased.append(UtteranceSpan(pos, pos + length, s.states))
-            pos += length
-        return np.concatenate(pieces, axis=0), SequenceBatchTargets(tuple(rebased))
+        return slice_batch(self.x, [self.spans[i] for i in own])

@@ -333,12 +333,8 @@ def _build_plan(cfg: SimJobConfig) -> _Plan:
         # tiny test workloads: pad with minimum-length utterances
         pad = np.full(w - len(lengths) + 1, cfg.hmm.min_length, dtype=np.int64)
         lengths = np.concatenate([lengths, pad])
-    assignment = part_fn(lengths.tolist(), w)
+    assignment = part_fn(lengths, w)
     grad_frames = assignment.frames_per_worker()
-
-    worker_of_utt = np.empty(len(lengths), dtype=np.int64)
-    for wi, utts in enumerate(assignment.workers):
-        worker_of_utt[list(utts)] = wi
 
     heldout = np.full(w, cfg.workload.heldout_frames // w, dtype=np.int64)
     heldout[: cfg.workload.heldout_frames % w] += 1
@@ -355,7 +351,7 @@ def _build_plan(cfg: SimJobConfig) -> _Plan:
     curv: list[np.ndarray] = []
     frac = cfg.workload.curvature_fraction
     if cfg.curvature_sampling == "utterance":
-        worker_lengths = [lengths[list(utts)] for utts in assignment.workers]
+        worker_lengths = [lengths[utts] for utts in assignment.workers]
     for it in range(cfg.script.n_iterations):
         rng = spawn(cfg.seed, "sim-curv", it)
         if cfg.curvature_sampling == "frame":
@@ -377,14 +373,11 @@ def _build_plan(cfg: SimJobConfig) -> _Plan:
                 frames[wi] = int(cum[min(stop, len(cum)) - 1])
         curv.append(frames)
 
-    shard_bytes = np.array(
-        [cfg.workload.shard_bytes(int(f)) for f in grad_frames], dtype=np.int64
-    )
     return _Plan(
         grad_frames=grad_frames,
         heldout_frames=heldout,
         curv_frames=curv,
-        shard_bytes=shard_bytes,
+        shard_bytes=cfg.workload.shard_bytes(grad_frames),
     )
 
 

@@ -29,11 +29,9 @@ from repro.dist.protocol import (
     CMD_STOP,
     FrameShard,
     SequenceShard,
-    global_frame_sample,
-    global_utterance_sample,
-    sample_size,
 )
 from repro.hf.optimizer import HessianFreeOptimizer
+from repro.hf.sources import curvature_sample, sample_size, slice_batch
 from repro.hf.types import HFConfig, HFResult
 from repro.nn.gauss_newton import GaussNewtonOperator
 from repro.nn.losses import Loss, UtteranceSpan
@@ -50,7 +48,6 @@ class MasterSource:
 
     comm: ThreadRankComm
     total_train_frames: int
-    total_heldout_frames: int
     curvature_fraction: float
     curvature_total: int
     """Sampling universe size: total frames (CE) or utterances (MMI)."""
@@ -174,8 +171,8 @@ def _shard_curvature_setup(
     net, loss, shard, theta, fraction, total, base_seed, sample_seed
 ):
     """Build this worker's raw (unnormalized, undamped) G-product op."""
+    sample = curvature_sample(total, fraction, base_seed, sample_seed)
     if isinstance(shard, FrameShard):
-        sample = global_frame_sample(total, fraction, base_seed, sample_seed)
         rows = shard.sample_rows(sample)
         if rows.size == 0:
             return None, 0
@@ -189,7 +186,6 @@ def _shard_curvature_setup(
             normalizer=1.0,
         )
         return op, int(rows.size)
-    sample = global_utterance_sample(total, fraction, base_seed, sample_seed)
     batch = shard.sample_batch(sample)
     if batch is None:
         return None, 0
@@ -233,18 +229,17 @@ def make_frame_shards(
     contiguously (held-out balance matters less — it is evaluated, not
     differentiated, and it is small).
     """
-    if sum(utt_lengths) != x.shape[0]:
+    lengths = np.asarray(utt_lengths, dtype=np.int64)
+    if lengths.sum() != x.shape[0]:
         raise ValueError(
-            f"utterance lengths sum to {sum(utt_lengths)}, x has {x.shape[0]} frames"
+            f"utterance lengths sum to {lengths.sum()}, x has {x.shape[0]} frames"
         )
-    assignment = partitioner(utt_lengths, n_workers)
-    starts = np.concatenate([[0], np.cumsum(utt_lengths)])
+    assignment = partitioner(lengths, n_workers)
+    frame_owner = np.repeat(assignment.owner, lengths)
     h_bounds = np.linspace(0, heldout_x.shape[0], n_workers + 1).astype(int)
     shards = []
-    for w, utts in enumerate(assignment.workers):
-        ids = np.concatenate(
-            [np.arange(starts[u], starts[u + 1]) for u in utts]
-        ) if utts else np.empty(0, dtype=np.int64)
+    for w in range(n_workers):
+        ids = np.flatnonzero(frame_owner == w)
         shards.append(
             FrameShard(
                 x=x[ids],
@@ -267,53 +262,30 @@ def make_sequence_shards(
     n_workers: int,
     partitioner: Callable[[Sequence[int], int], Assignment] = balanced_partition,
 ) -> list[SequenceShard]:
-    """Split utterance-structured data into per-worker shards."""
-    lengths = [s.end - s.start for s in spans]
-    assignment = partitioner(lengths, n_workers)
-    h_assign = (
-        partitioner([s.end - s.start for s in heldout_spans], n_workers)
-        if len(heldout_spans) >= n_workers
-        else None
-    )
+    """Split utterance-structured data into per-worker shards.
+
+    Held-out utterances are partitioned the same way when there are at
+    least as many as workers; otherwise worker 0 holds all of them.
+    """
+    assignment = partitioner([s.end - s.start for s in spans], n_workers)
+    if len(heldout_spans) >= n_workers:
+        h_workers = partitioner(
+            [s.end - s.start for s in heldout_spans], n_workers
+        ).workers
+    else:
+        none = np.empty(0, dtype=np.int64)
+        h_workers = [np.arange(len(heldout_spans))] + [none] * (n_workers - 1)
     shards = []
-    for w, utts in enumerate(assignment.workers):
-        pieces, rebased = [], []
-        pos = 0
-        for u in utts:
-            s = spans[u]
-            pieces.append(x[s.start : s.end])
-            length = s.end - s.start
-            rebased.append(UtteranceSpan(pos, pos + length, s.states))
-            pos += length
-        sx = (
-            np.concatenate(pieces, axis=0)
-            if pieces
-            else np.empty((0, x.shape[1]))
-        )
-        if h_assign is not None:
-            h_utts = h_assign.workers[w]
-        else:
-            h_utts = tuple(range(len(heldout_spans))) if w == 0 else ()
-        h_pieces, h_rebased = [], []
-        pos = 0
-        for u in h_utts:
-            s = heldout_spans[u]
-            h_pieces.append(heldout_x[s.start : s.end])
-            length = s.end - s.start
-            h_rebased.append(UtteranceSpan(pos, pos + length, s.states))
-            pos += length
-        hx = (
-            np.concatenate(h_pieces, axis=0)
-            if h_pieces
-            else np.empty((0, heldout_x.shape[1]))
-        )
+    for utts, h_utts in zip(assignment.workers, h_workers):
+        sx, tb = slice_batch(x, [spans[u] for u in utts])
+        hx, h_tb = slice_batch(heldout_x, [heldout_spans[u] for u in h_utts])
         shards.append(
             SequenceShard(
                 x=sx,
-                spans=rebased,
-                global_utt_ids=np.array(utts, dtype=np.int64),
+                spans=tb.spans,
+                global_utt_ids=utts,
                 heldout_x=hx,
-                heldout_spans=h_rebased,
+                heldout_spans=h_tb.spans,
             )
         )
     return shards
@@ -336,9 +308,6 @@ def train_threaded_hf(
     if n_workers < 1:
         raise ValueError("need at least one worker shard")
     total_train = sum(s.n_frames for s in shards)
-    total_heldout = sum(
-        s.heldout_x.shape[0] for s in shards
-    )
     if isinstance(shards[0], FrameShard):
         curvature_total = total_train
     else:
@@ -348,7 +317,6 @@ def train_threaded_hf(
         source = MasterSource(
             comm=comm,
             total_train_frames=total_train,
-            total_heldout_frames=total_heldout,
             curvature_fraction=curvature_fraction,
             curvature_total=curvature_total,
             seed=seed,

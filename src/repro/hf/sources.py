@@ -11,10 +11,13 @@ match bit-for-bit.  Two variants:
   subset of *utterances* (sampling must respect sequence boundaries).
 
 Both chunk their full-data sweeps so peak memory stays bounded
-regardless of corpus size, and both draw curvature samples from
-:func:`repro.util.rng.derive_seed` streams so any backend (serial,
-threaded, simulated) sees the *same* sample for the same seed —
-the precondition for the paper's "no loss in accuracy" parity claim.
+regardless of corpus size.  This module also owns the two pieces the
+distributed workers (:mod:`repro.dist.protocol`) share with the serial
+sources: :func:`curvature_sample`, the one seeded draw of a curvature
+mini-sample, so every backend sees the *same* sample for the same seed
+(the precondition for the paper's "no loss in accuracy" parity claim);
+and :func:`slice_batch`, which cuts a subset of utterances out of a
+frame matrix and rebases their spans.
 """
 
 from __future__ import annotations
@@ -29,7 +32,49 @@ from repro.nn.network import DNN
 from repro.nn.gauss_newton import GaussNewtonOperator
 from repro.util.rng import spawn
 
-__all__ = ["FrameSource", "SequenceSource"]
+__all__ = [
+    "FrameSource",
+    "SequenceSource",
+    "curvature_sample",
+    "sample_size",
+    "slice_batch",
+]
+
+
+def sample_size(total: int, fraction: float) -> int:
+    """Global curvature-sample size — one formula for every backend."""
+    if total < 1:
+        raise ValueError(f"total must be >= 1: {total}")
+    if not 0 < fraction <= 1:
+        raise ValueError(f"fraction must be in (0,1]: {fraction}")
+    return max(1, int(round(fraction * total)))
+
+
+def curvature_sample(
+    total: int, fraction: float, seed: int, sample_seed: int
+) -> np.ndarray:
+    """The sorted indices (frames or utterances, out of ``total``) of one
+    curvature mini-sample, derived from ``(seed, sample_seed)`` alone."""
+    k = sample_size(total, fraction)
+    rng = spawn(seed, "curvature", sample_seed)
+    return np.sort(rng.choice(total, size=k, replace=False))
+
+
+def slice_batch(
+    x: np.ndarray, spans: Sequence[UtteranceSpan]
+) -> tuple[np.ndarray, SequenceBatchTargets]:
+    """Extract a contiguous batch for a subset of utterances, rebasing
+    their spans to start at 0 (an empty subset gives a 0-row batch)."""
+    if not spans:
+        return x[:0], SequenceBatchTargets(())
+    xb = np.concatenate([x[s.start : s.end] for s in spans], axis=0)
+    rebased = []
+    pos = 0
+    for s in spans:
+        length = s.end - s.start
+        rebased.append(UtteranceSpan(pos, pos + length, s.states))
+        pos += length
+    return xb, SequenceBatchTargets(tuple(rebased))
 
 
 @dataclass
@@ -77,7 +122,9 @@ class FrameSource:
         self, theta: np.ndarray, lam: float, sample_seed: int
     ) -> Callable[[np.ndarray], np.ndarray]:
         """Damped Gauss-Newton operator over a fresh frame sample."""
-        idx = self.curvature_sample_indices(sample_seed)
+        idx = curvature_sample(
+            self.x.shape[0], self.curvature_fraction, self.seed, sample_seed
+        )
         return GaussNewtonOperator(
             net=self.net,
             theta=theta,
@@ -99,14 +146,6 @@ class FrameSource:
             )
             total += value
         return total, n
-
-    # -------------------------------------------------------------- helpers
-    def curvature_sample_indices(self, sample_seed: int) -> np.ndarray:
-        """The seeded frame subset for one CG call (sorted for locality)."""
-        n = self.x.shape[0]
-        k = max(1, int(round(self.curvature_fraction * n)))
-        rng = spawn(self.seed, "curvature", sample_seed)
-        return np.sort(rng.choice(n, size=k, replace=False))
 
 
 @dataclass
@@ -134,6 +173,10 @@ class SequenceSource:
             raise ValueError(
                 f"curvature_fraction must be in (0,1]: {self.curvature_fraction}"
             )
+        if self.chunk_utterances < 1:
+            raise ValueError(
+                f"chunk_utterances must be >= 1: {self.chunk_utterances}"
+            )
 
     # ------------------------------------------------------------- protocol
     def gradient(self, theta: np.ndarray) -> tuple[float, np.ndarray, int]:
@@ -142,7 +185,7 @@ class SequenceSource:
         grad = np.zeros_like(theta)
         frames = 0
         for chunk in _utterance_chunks(self.spans, self.chunk_utterances):
-            xb, tb = _slice_batch(self.x, chunk)
+            xb, tb = slice_batch(self.x, chunk)
             value, g = self.net.loss_and_grad(theta, xb, self.loss, tb)
             total += value
             grad += g
@@ -153,8 +196,10 @@ class SequenceSource:
         self, theta: np.ndarray, lam: float, sample_seed: int
     ) -> Callable[[np.ndarray], np.ndarray]:
         """Damped Gauss-Newton operator over sampled whole utterances."""
-        chosen = self.curvature_sample_utterances(sample_seed)
-        xb, tb = _slice_batch(self.x, [self.spans[i] for i in chosen])
+        chosen = curvature_sample(
+            len(self.spans), self.curvature_fraction, self.seed, sample_seed
+        )
+        xb, tb = slice_batch(self.x, [self.spans[i] for i in chosen])
         return GaussNewtonOperator(
             net=self.net,
             theta=theta,
@@ -170,19 +215,11 @@ class SequenceSource:
         total = 0.0
         frames = 0
         for chunk in _utterance_chunks(self.heldout_spans, self.chunk_utterances):
-            xb, tb = _slice_batch(self.heldout_x, chunk)
+            xb, tb = slice_batch(self.heldout_x, chunk)
             value, _ = self.net.loss_and_grad(theta, xb, self.loss, tb)
             total += value
             frames += tb.n_frames
         return total, frames
-
-    # -------------------------------------------------------------- helpers
-    def curvature_sample_utterances(self, sample_seed: int) -> np.ndarray:
-        """Deterministic utterance sample for one curvature batch."""
-        n = len(self.spans)
-        k = max(1, int(round(self.curvature_fraction * n)))
-        rng = spawn(self.seed, "curvature", sample_seed)
-        return np.sort(rng.choice(n, size=k, replace=False))
 
 
 def _utterance_chunks(
@@ -191,19 +228,3 @@ def _utterance_chunks(
     return [
         list(spans[i : i + per_chunk]) for i in range(0, len(spans), per_chunk)
     ]
-
-
-def _slice_batch(
-    x: np.ndarray, spans: Sequence[UtteranceSpan]
-) -> tuple[np.ndarray, SequenceBatchTargets]:
-    """Extract a contiguous batch for a subset of utterances, rebasing
-    their spans to start at 0."""
-    pieces = [x[s.start : s.end] for s in spans]
-    xb = np.concatenate(pieces, axis=0)
-    rebased = []
-    pos = 0
-    for s in spans:
-        length = s.end - s.start
-        rebased.append(UtteranceSpan(pos, pos + length, s.states))
-        pos += length
-    return xb, SequenceBatchTargets(tuple(rebased))

@@ -89,6 +89,8 @@ class ThreadRankComm:
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> _Envelope:
         """Block until a matching envelope arrives; FIFO per (src, tag)."""
+        if source != ANY_SOURCE and not 0 <= source < self.size:
+            raise ValueError(f"recv from invalid rank {source}")
         cond = self._fabric.conds[self.rank]
         inbox = self._fabric.inboxes[self.rank]
 
@@ -164,11 +166,12 @@ class ThreadRankComm:
 
     def scatter(self, values: Sequence[Any] | None, root: int = 0, tag: int = 900_006) -> Any:
         """Root hands ``values[r]`` to each rank r; returns this rank's item."""
-        if self.size == 1:
-            assert values is not None
-            return values[0]
         if self.rank == root:
-            assert values is not None and len(values) == self.size
+            if values is None or len(values) != self.size:
+                raise ValueError(
+                    f"scatter root needs exactly {self.size} values, got "
+                    f"{None if values is None else len(values)}"
+                )
             for dst in range(self.size):
                 if dst != root:
                     self.send(dst, values[dst], tag=tag)

@@ -1,11 +1,18 @@
 """Load balancing (Section V-C): sorted/LPT vs naive partitioning."""
 
+import heapq
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.dist import balanced_partition, imbalance, naive_partition
+from repro.dist import (
+    balanced_partition,
+    imbalance,
+    make_frame_shards,
+    naive_partition,
+)
 from repro.speech import HmmSampler, HmmSpec
 
 
@@ -50,7 +57,7 @@ def test_balanced_deterministic():
     lengths = [3, 1, 4, 1, 5, 9, 2, 6]
     a1 = balanced_partition(lengths, 3)
     a2 = balanced_partition(lengths, 3)
-    assert a1.workers == a2.workers
+    assert np.array_equal(a1.owner, a2.owner)
 
 
 def test_lpt_exact_on_simple_case():
@@ -59,13 +66,16 @@ def test_lpt_exact_on_simple_case():
     assert sorted(a.frames_per_worker().tolist()) == [6, 6]
 
 
-def test_assignment_rejects_duplicates_and_gaps():
+def test_assignment_rejects_out_of_range_owner():
     from repro.dist import Assignment
 
-    with pytest.raises(ValueError, match="twice"):
-        Assignment(workers=((0, 1), (1,)), lengths=(5, 5))
-    with pytest.raises(ValueError, match="unassigned"):
-        Assignment(workers=((0,), ()), lengths=(5, 5))
+    lengths = np.array([5, 5])
+    with pytest.raises(ValueError, match="out of range"):
+        Assignment(owner=np.array([0, 2]), lengths=lengths, n_workers=2)
+    with pytest.raises(ValueError, match="out of range"):
+        Assignment(owner=np.array([-1, 0]), lengths=lengths, n_workers=2)
+    with pytest.raises(ValueError, match="aligned"):
+        Assignment(owner=np.array([0]), lengths=lengths, n_workers=2)
 
 
 def test_imbalance_of_perfect_split_is_one():
@@ -104,3 +114,51 @@ def test_property_lpt_greedy_guarantee(lengths, workers):
     mean = sum(lengths) / workers
     assert loads.max() <= mean + max(lengths) + 1e-9
     assert loads.min() <= mean + 1e-9
+
+
+def _reference_lpt(lengths, workers):
+    """Textbook LPT: longest first (ties by index) onto a heap of
+    (load, worker) tuples; returns the owner of each utterance."""
+    heap = [(0, w) for w in range(workers)]
+    owner = [None] * len(lengths)
+    for i in sorted(range(len(lengths)), key=lambda i: (-lengths[i], i)):
+        load, w = heapq.heappop(heap)
+        owner[i] = w
+        heapq.heappush(heap, (load + lengths[i], w))
+    return owner
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    lengths=st.lists(st.integers(1, 30), min_size=1, max_size=40),
+    below=st.integers(0, 2),
+    workers=st.integers(1, 6),
+    near_n=st.booleans(),
+)
+@example(lengths=[4, 3, 3, 2, 2], below=0, workers=1, near_n=True)
+@example(lengths=[4, 3, 3, 2, 2], below=1, workers=1, near_n=True)
+def test_partitions_match_reference(lengths, below, workers, near_n):
+    """Both partitioners against a straightforward reference, including
+    one utterance per worker and a few more utterances than workers —
+    the regime of the 262144-rank simulation."""
+    n = len(lengths)
+    w = max(1, n - below) if near_n else min(workers, n)
+    balanced = balanced_partition(lengths, w)
+    naive = naive_partition(lengths, w)
+    assert balanced.owner.tolist() == _reference_lpt(lengths, w)
+    assert naive.owner.tolist() == [i % w for i in range(n)]
+
+    x = np.arange(sum(lengths), dtype=float)[:, None]
+    empty = np.zeros((0, 1))
+    shards = make_frame_shards(
+        x, np.zeros(x.shape[0]), empty, np.zeros(0), lengths, w
+    )
+    frame_owner = np.repeat(balanced.owner, lengths)
+    for wi, (shard, frames) in enumerate(
+        zip(shards, balanced.frames_per_worker())
+    ):
+        ids = shard.global_ids
+        assert np.all(np.diff(ids) > 0)
+        assert ids.size == frames
+        assert np.all(frame_owner[ids] == wi)
+        assert np.array_equal(shard.x[:, 0], ids)

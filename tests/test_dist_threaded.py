@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 
 from repro.dist import (
-    global_frame_sample,
     make_frame_shards,
     make_sequence_shards,
     naive_partition,
     train_threaded_hf,
 )
-from repro.dist.protocol import FrameShard, sample_size
+from repro.dist.protocol import FrameShard
 from repro.hf import FrameSource, HFConfig, HessianFreeOptimizer, SequenceSource
+from repro.hf.sources import curvature_sample, sample_size
 from repro.nn import DNN, CrossEntropyLoss, SequenceMMILoss
 from repro.speech import CorpusConfig, build_corpus
 
@@ -127,7 +127,7 @@ def test_global_sample_partition_invariant(frame_setup):
     corpus, net, x, y, hx, hy = frame_setup
     lens = [u.n_frames for u in corpus.train_utts]
     total = x.shape[0]
-    sample = global_frame_sample(total, 0.05, base_seed=9, sample_seed=3)
+    sample = curvature_sample(total, 0.05, seed=9, sample_seed=3)
     for workers in (2, 5):
         shards = make_frame_shards(x, y, hx, hy, lens, workers)
         rows = np.concatenate(

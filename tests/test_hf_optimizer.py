@@ -18,6 +18,7 @@ from repro.hf import (
     gradient_squared_preconditioner,
     martens_preconditioner,
 )
+from repro.hf.sources import curvature_sample
 from repro.nn import DNN, CrossEntropyLoss, SequenceMMILoss, UtteranceSpan
 
 
@@ -264,14 +265,9 @@ class TestSources:
         assert np.allclose(grad, g_direct, atol=1e-10)
 
     def test_curvature_sample_seeded(self):
-        x, y, hx, hy = _toy_problem(seed=9, n=100)
-        net = DNN([6, 8, 4])
-        src = FrameSource(
-            net, CrossEntropyLoss(), x, y, hx, hy, curvature_fraction=0.1, seed=3
-        )
-        a = src.curvature_sample_indices(1)
-        b = src.curvature_sample_indices(1)
-        c = src.curvature_sample_indices(2)
+        a = curvature_sample(100, 0.1, seed=3, sample_seed=1)
+        b = curvature_sample(100, 0.1, seed=3, sample_seed=1)
+        c = curvature_sample(100, 0.1, seed=3, sample_seed=2)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert len(a) == 10
@@ -294,3 +290,14 @@ class TestSources:
             FrameSource(net, CrossEntropyLoss(), x, y[:-1], hx, hy)
         with pytest.raises(ValueError):
             FrameSource(net, CrossEntropyLoss(), x, y, hx, hy, curvature_fraction=0.0)
+
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_sequence_source_rejects_bad_chunk(self, chunk):
+        rng = np.random.default_rng(12)
+        spans = [UtteranceSpan(0, 4, rng.integers(0, 3, 4))]
+        x = rng.standard_normal((4, 5))
+        loss = SequenceMMILoss(np.log(np.full((3, 3), 1.0 / 3)))
+        with pytest.raises(ValueError, match="chunk_utterances"):
+            SequenceSource(
+                DNN([5, 8, 3]), loss, x, spans, x, spans, chunk_utterances=chunk
+            )

@@ -1,5 +1,7 @@
 """Real-thread communicator: blocking p2p/collectives, failure paths."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,30 @@ def test_recv_timeout():
 
     with pytest.raises((TimeoutError, WorkerFailure)):
         run_threaded(2, prog, timeout=0.5)
+
+
+def test_recv_from_invalid_rank_fails_at_once():
+    def prog(comm):
+        if comm.rank == 0:
+            comm.recv(source=7)
+
+    t0 = time.perf_counter()
+    with pytest.raises(WorkerFailure) as info:
+        run_threaded(2, prog, timeout=30)
+    assert isinstance(info.value.cause, ValueError)
+    assert "invalid rank 7" in str(info.value.cause)
+    assert time.perf_counter() - t0 < 10  # not a wait for the timeout
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_scatter_wrong_value_count_raises(size):
+    def prog(comm):
+        comm.scatter([1, 2, 3] if comm.rank == 0 else None)
+
+    with pytest.raises(WorkerFailure) as info:
+        run_threaded(size, prog, timeout=30)
+    assert isinstance(info.value.cause, ValueError)
+    assert f"exactly {size} values, got 3" in str(info.value.cause)
 
 
 def test_program_count_mismatch():
