@@ -8,12 +8,16 @@ workers holding utterance shards.
 
 Commands flow master -> workers by broadcast; results flow back by
 gather (rank-ordered fold at the master, so reduced floats are
-independent of thread scheduling).  Curvature mini-samples are *derived,
-not shipped*: the master broadcasts only a seed, and every worker
-recomputes the same global sample with
+independent of thread scheduling).  Each shard record builds, with
+``source()``, the serial data source (:mod:`repro.hf.sources`) that
+the worker runs over its shard, and names its sampling units (frames or
+utterances) by global id in ``global_ids``.  Curvature mini-samples are
+*derived, not shipped*: the master broadcasts only a seed, and every
+worker recomputes the same global sample with
 :func:`repro.hf.sources.curvature_sample` (the draw the serial sources
-make) and keeps its intersection — the paper's "the right set of
-utterances to adhere to the randomness needed by the algorithm".
+make) and keeps its intersection with ``global_ids`` — the paper's "the
+right set of utterances to adhere to the randomness needed by the
+algorithm".
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.hf.sources import slice_batch
-from repro.nn.losses import SequenceBatchTargets, UtteranceSpan
+from repro.hf.sources import FrameSource, SequenceSource
+from repro.nn.losses import Loss, UtteranceSpan
+from repro.nn.network import DNN
 
 __all__ = [
     "CMD_GRADIENT",
@@ -68,10 +73,14 @@ class FrameShard:
     def n_frames(self) -> int:
         return int(self.x.shape[0])
 
-    def sample_rows(self, global_sample: np.ndarray) -> np.ndarray:
-        """Local row positions whose global ids are in ``global_sample``."""
-        mask = np.isin(self.global_ids, global_sample, assume_unique=False)
-        return np.nonzero(mask)[0]
+    def source(
+        self, net: DNN, loss: Loss, curvature_fraction: float, seed: int
+    ) -> FrameSource:
+        """The serial frame source over this shard."""
+        return FrameSource(
+            net, loss, self.x, self.targets, self.heldout_x, self.heldout_targets,
+            curvature_fraction=curvature_fraction, seed=seed,
+        )
 
 
 @dataclass
@@ -80,13 +89,14 @@ class SequenceShard:
 
     x: np.ndarray
     spans: Sequence[UtteranceSpan]  # rebased to this shard's frame space
-    global_utt_ids: np.ndarray
+    global_ids: np.ndarray
+    """Global utterance indices of this shard's spans."""
     heldout_x: np.ndarray
     heldout_spans: Sequence[UtteranceSpan]
 
     def __post_init__(self) -> None:
-        if len(self.spans) != self.global_utt_ids.shape[0]:
-            raise ValueError("spans and global_utt_ids must align")
+        if len(self.spans) != self.global_ids.shape[0]:
+            raise ValueError("spans and global_ids must align")
         if self.spans and self.spans[-1].end != self.x.shape[0]:
             raise ValueError("spans must tile the shard's frames")
 
@@ -94,11 +104,11 @@ class SequenceShard:
     def n_frames(self) -> int:
         return int(self.x.shape[0])
 
-    def sample_batch(
-        self, global_sample: np.ndarray
-    ) -> tuple[np.ndarray, SequenceBatchTargets] | None:
-        """(x, targets) for the owned subset of the sample, or None."""
-        own = np.flatnonzero(np.isin(self.global_utt_ids, global_sample))
-        if own.size == 0:
-            return None
-        return slice_batch(self.x, [self.spans[i] for i in own])
+    def source(
+        self, net: DNN, loss: Loss, curvature_fraction: float, seed: int
+    ) -> SequenceSource:
+        """The serial sequence source over this shard."""
+        return SequenceSource(
+            net, loss, self.x, self.spans, self.heldout_x, self.heldout_spans,
+            curvature_fraction=curvature_fraction, seed=seed,
+        )

@@ -16,6 +16,7 @@ identical seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,7 +32,7 @@ from repro.dist.protocol import (
     SequenceShard,
 )
 from repro.hf.optimizer import HessianFreeOptimizer
-from repro.hf.sources import curvature_sample, sample_size, slice_batch
+from repro.hf.sources import FrameSource, SequenceSource, curvature_sample, slice_batch
 from repro.hf.types import HFConfig, HFResult
 from repro.nn.gauss_newton import GaussNewtonOperator
 from repro.nn.losses import Loss, UtteranceSpan
@@ -81,9 +82,8 @@ class MasterSource:
         """Distributed damped Gauss-Newton operator: each apply fans a
         vector out to workers and sums their curvature products."""
         self.comm.bcast((CMD_CURV_SETUP, theta, sample_seed), root=0)
-        k = sample_size(self.curvature_total, self.curvature_fraction)
-        setup = self._collect()  # workers ack with their sampled frame counts
-        sampled_frames = sum(setup)
+        # workers ack with their sampled frame counts
+        sampled_frames = sum(self._collect())
 
         def op(v: np.ndarray) -> np.ndarray:
             self.comm.bcast((CMD_CURV, v), root=0)
@@ -92,8 +92,7 @@ class MasterSource:
                 gv += part
             return gv / max(sampled_frames, 1) + lam * v
 
-        op.sample_frames = sampled_frames  # type: ignore[attr-defined]
-        op.sample_units = k  # type: ignore[attr-defined]
+        op.sample_size = sampled_frames  # type: ignore[attr-defined]
         return op
 
     def heldout_loss(self, theta: np.ndarray) -> tuple[float, int]:
@@ -112,14 +111,16 @@ class MasterSource:
 
 def worker_loop(
     comm: ThreadRankComm,
-    net: DNN,
-    loss: Loss,
-    shard: FrameShard | SequenceShard,
-    curvature_fraction: float,
+    source: FrameSource | SequenceSource,
+    global_ids: np.ndarray,
     curvature_total: int,
-    seed: int,
 ) -> int:
-    """Serve master commands until ``stop``; returns commands served."""
+    """Serve master commands with ``source``, the serial data source over
+    this worker's shard, until ``stop``; returns commands served.
+
+    ``global_ids`` names the shard's sampling units (frames or
+    utterances) out of ``curvature_total``; a curvature request keeps
+    the units of the global sample that the shard owns."""
     op: GaussNewtonOperator | None = None
     served = 0
     while True:
@@ -129,88 +130,30 @@ def worker_loop(
         if kind == CMD_STOP:
             return served
         if kind == CMD_GRADIENT:
-            theta = cmd[1]
-            value, grad, n = _shard_gradient(net, loss, shard, theta)
-            comm.gather((value, grad, n), root=0)
+            comm.gather(source.gradient(cmd[1]), root=0)
         elif kind == CMD_CURV_SETUP:
             theta, sample_seed = cmd[1], cmd[2]
-            op, n_sampled = _shard_curvature_setup(
-                net, loss, shard, theta, curvature_fraction, curvature_total,
-                seed, sample_seed,
+            sample = curvature_sample(
+                curvature_total, source.curvature_fraction, source.seed, sample_seed
             )
-            comm.gather(n_sampled, root=0)
+            own = np.flatnonzero(np.isin(global_ids, sample))
+            op = None
+            if own.size:
+                # raw products: the master sums them, then normalises and damps
+                x, targets = source.curvature_batch(own)
+                op = GaussNewtonOperator(
+                    net=source.net, theta=theta, x=x, loss=source.loss,
+                    targets=targets, lam=0.0, normalizer=1.0,
+                )
+            comm.gather(op.sample_size if op is not None else 0, root=0)
         elif kind == CMD_CURV:
             v = cmd[1]
             gv = op(v) if op is not None else np.zeros_like(v)
             comm.gather(gv, root=0)
         elif kind == CMD_HELDOUT:
-            theta = cmd[1]
-            value, n = _shard_heldout(net, loss, shard, theta)
-            comm.gather((value, n), root=0)
+            comm.gather(source.heldout_loss(cmd[1]), root=0)
         else:
             raise ValueError(f"unknown command {kind!r}")
-
-
-# -------------------------------------------------------------- shard math
-def _shard_gradient(net, loss, shard, theta):
-    if isinstance(shard, FrameShard):
-        if shard.n_frames == 0:
-            return 0.0, np.zeros_like(theta), 0
-        value, grad = net.loss_and_grad(theta, shard.x, loss, shard.targets)
-        return value, grad, shard.n_frames
-    from repro.nn.losses import SequenceBatchTargets
-
-    if not shard.spans:
-        return 0.0, np.zeros_like(theta), 0
-    targets = SequenceBatchTargets(tuple(shard.spans))
-    value, grad = net.loss_and_grad(theta, shard.x, loss, targets)
-    return value, grad, shard.n_frames
-
-
-def _shard_curvature_setup(
-    net, loss, shard, theta, fraction, total, base_seed, sample_seed
-):
-    """Build this worker's raw (unnormalized, undamped) G-product op."""
-    sample = curvature_sample(total, fraction, base_seed, sample_seed)
-    if isinstance(shard, FrameShard):
-        rows = shard.sample_rows(sample)
-        if rows.size == 0:
-            return None, 0
-        op = GaussNewtonOperator(
-            net=net,
-            theta=theta,
-            x=shard.x[rows],
-            loss=loss,
-            targets=np.asarray(shard.targets)[rows],
-            lam=0.0,
-            normalizer=1.0,
-        )
-        return op, int(rows.size)
-    batch = shard.sample_batch(sample)
-    if batch is None:
-        return None, 0
-    xb, tb = batch
-    op = GaussNewtonOperator(
-        net=net, theta=theta, x=xb, loss=loss, targets=tb, lam=0.0, normalizer=1.0
-    )
-    return op, tb.n_frames
-
-
-def _shard_heldout(net, loss, shard, theta):
-    if isinstance(shard, FrameShard):
-        if shard.heldout_x.shape[0] == 0:
-            return 0.0, 0
-        value, _ = net.loss_and_grad(
-            theta, shard.heldout_x, loss, shard.heldout_targets
-        )
-        return value, shard.heldout_x.shape[0]
-    from repro.nn.losses import SequenceBatchTargets
-
-    if not shard.heldout_spans:
-        return 0.0, 0
-    targets = SequenceBatchTargets(tuple(shard.heldout_spans))
-    value, _ = net.loss_and_grad(theta, shard.heldout_x, loss, targets)
-    return value, shard.heldout_x.shape[0]
 
 
 # ----------------------------------------------------------- shard builders
@@ -283,7 +226,7 @@ def make_sequence_shards(
             SequenceShard(
                 x=sx,
                 spans=tb.spans,
-                global_utt_ids=utts,
+                global_ids=utts,
                 heldout_x=hx,
                 heldout_spans=h_tb.spans,
             )
@@ -308,10 +251,9 @@ def train_threaded_hf(
     if n_workers < 1:
         raise ValueError("need at least one worker shard")
     total_train = sum(s.n_frames for s in shards)
-    if isinstance(shards[0], FrameShard):
-        curvature_total = total_train
-    else:
-        curvature_total = sum(len(s.spans) for s in shards)
+    curvature_total = sum(len(s.global_ids) for s in shards)
+    # built here, not in the worker threads, so a bad argument raises at once
+    sources = [s.source(net, loss, curvature_fraction, seed) for s in shards]
 
     def master_program(comm: ThreadRankComm) -> HFResult:
         source = MasterSource(
@@ -327,14 +269,12 @@ def train_threaded_hf(
         finally:
             source.stop()
 
-    def make_worker(shard):
-        def program(comm: ThreadRankComm) -> int:
-            return worker_loop(
-                comm, net, loss, shard, curvature_fraction, curvature_total, seed
-            )
-
-        return program
-
-    programs = [master_program] + [make_worker(s) for s in shards]
-    results = run_threaded(n_workers + 1, programs, timeout=timeout)
+    workers = [
+        partial(
+            worker_loop, source=src, global_ids=s.global_ids,
+            curvature_total=curvature_total,
+        )
+        for src, s in zip(sources, shards)
+    ]
+    results = run_threaded(n_workers + 1, [master_program] + workers, timeout=timeout)
     return results[0]

@@ -1,8 +1,7 @@
 """Serial in-memory data sources for the HF optimizer.
 
 These implement :class:`~repro.hf.types.HFDataSource` over arrays held in
-one process — the single-machine reference the distributed engine must
-match bit-for-bit.  Two variants:
+one process.  Two variants:
 
 * :class:`FrameSource` — frame-level criteria (cross-entropy, squared
   error): the curvature mini-sample is a random subset of *frames*;
@@ -11,13 +10,16 @@ match bit-for-bit.  Two variants:
   subset of *utterances* (sampling must respect sequence boundaries).
 
 Both chunk their full-data sweeps so peak memory stays bounded
-regardless of corpus size.  This module also owns the two pieces the
-distributed workers (:mod:`repro.dist.protocol`) share with the serial
-sources: :func:`curvature_sample`, the one seeded draw of a curvature
-mini-sample, so every backend sees the *same* sample for the same seed
-(the precondition for the paper's "no loss in accuracy" parity claim);
-and :func:`slice_batch`, which cuts a subset of utterances out of a
-frame matrix and rebases their spans.
+regardless of corpus size, and both cut a curvature batch out of their
+data with ``curvature_batch(units)``.  They are also the distributed
+workers' shard math: each threaded worker (:mod:`repro.dist.threaded`)
+runs one of these sources over its own shard, answering gradient and
+held-out requests with the methods below and building its curvature
+products from ``curvature_batch``.  The one seeded draw of a curvature
+mini-sample, :func:`curvature_sample`, lives here too, so every backend
+sees the *same* sample for the same seed (the precondition for the
+paper's "no loss in accuracy" parity claim); :func:`slice_batch` cuts a
+subset of utterances out of a frame matrix and rebases their spans.
 """
 
 from __future__ import annotations
@@ -118,22 +120,15 @@ class FrameSource:
             grad += g
         return total, grad, n
 
+    def curvature_batch(self, units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(x, targets) of the training frames ``units``."""
+        return self.x[units], np.asarray(self.targets)[units]
+
     def curvature_operator(
         self, theta: np.ndarray, lam: float, sample_seed: int
     ) -> Callable[[np.ndarray], np.ndarray]:
         """Damped Gauss-Newton operator over a fresh frame sample."""
-        idx = curvature_sample(
-            self.x.shape[0], self.curvature_fraction, self.seed, sample_seed
-        )
-        return GaussNewtonOperator(
-            net=self.net,
-            theta=theta,
-            x=self.x[idx],
-            loss=self.loss,
-            targets=np.asarray(self.targets)[idx],
-            lam=lam,
-            normalizer=float(len(idx)),
-        )
+        return _sampled_operator(self, self.x.shape[0], theta, lam, sample_seed)
 
     def heldout_loss(self, theta: np.ndarray) -> tuple[float, int]:
         """Summed loss and frame count over the held-out set."""
@@ -192,23 +187,17 @@ class SequenceSource:
             frames += tb.n_frames
         return total, grad, frames
 
+    def curvature_batch(
+        self, units: np.ndarray
+    ) -> tuple[np.ndarray, SequenceBatchTargets]:
+        """(x, targets) of the training utterances ``units``."""
+        return slice_batch(self.x, [self.spans[i] for i in units])
+
     def curvature_operator(
         self, theta: np.ndarray, lam: float, sample_seed: int
     ) -> Callable[[np.ndarray], np.ndarray]:
         """Damped Gauss-Newton operator over sampled whole utterances."""
-        chosen = curvature_sample(
-            len(self.spans), self.curvature_fraction, self.seed, sample_seed
-        )
-        xb, tb = slice_batch(self.x, [self.spans[i] for i in chosen])
-        return GaussNewtonOperator(
-            net=self.net,
-            theta=theta,
-            x=xb,
-            loss=self.loss,
-            targets=tb,
-            lam=lam,
-            normalizer=float(tb.n_frames),
-        )
+        return _sampled_operator(self, len(self.spans), theta, lam, sample_seed)
 
     def heldout_loss(self, theta: np.ndarray) -> tuple[float, int]:
         """Summed loss and frame count over held-out utterances."""
@@ -220,6 +209,28 @@ class SequenceSource:
             total += value
             frames += tb.n_frames
         return total, frames
+
+
+def _sampled_operator(
+    source: FrameSource | SequenceSource,
+    total: int,
+    theta: np.ndarray,
+    lam: float,
+    sample_seed: int,
+) -> GaussNewtonOperator:
+    """Damped G-product over ``source``'s curvature sample out of its
+    ``total`` units, normalised by the sampled frame count."""
+    units = curvature_sample(total, source.curvature_fraction, source.seed, sample_seed)
+    x, targets = source.curvature_batch(units)
+    return GaussNewtonOperator(
+        net=source.net,
+        theta=theta,
+        x=x,
+        loss=source.loss,
+        targets=targets,
+        lam=lam,
+        normalizer=float(x.shape[0]),
+    )
 
 
 def _utterance_chunks(

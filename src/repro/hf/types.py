@@ -20,8 +20,8 @@ class HFDataSource(Protocol):
 
     Implementations: the serial in-memory sources
     (:mod:`repro.hf.sources`) and the distributed master-side source
-    (:mod:`repro.dist.engine`), which is how the same Algorithm-1 code
-    drives one process or four thousand.
+    (:class:`repro.dist.threaded.MasterSource`), which is how the same
+    Algorithm-1 code drives one process or four thousand.
     """
 
     def gradient(self, theta: np.ndarray) -> tuple[float, np.ndarray, int]:

@@ -11,16 +11,20 @@ import numpy as np
 import pytest
 
 from repro.dist import (
+    MasterSource,
     make_frame_shards,
     make_sequence_shards,
     naive_partition,
     train_threaded_hf,
+    worker_loop,
 )
 from repro.dist.protocol import FrameShard
 from repro.hf import FrameSource, HFConfig, HessianFreeOptimizer, SequenceSource
 from repro.hf.sources import curvature_sample, sample_size
 from repro.nn import DNN, CrossEntropyLoss, SequenceMMILoss
+from repro.obs import MetricsRegistry
 from repro.speech import CorpusConfig, build_corpus
+from repro.vmpi.inprocess import run_threaded
 
 CFG = CorpusConfig(hours=50, scale=8e-5, context=1, seed=11)
 
@@ -105,6 +109,106 @@ def test_sequence_distributed_matches_serial(corpus):
     )
 
 
+@pytest.fixture(scope="module")
+def big_corpus():
+    """More training utterances (80) than ``SequenceSource`` puts in one
+    chunk (64), so a sweep that ignores the chunking shows up."""
+    corpus = build_corpus(CorpusConfig(hours=50, scale=3e-4, context=1, seed=11))
+    assert len(corpus.train_utts) > SequenceSource.chunk_utterances
+    return corpus
+
+
+def test_one_worker_frame_run_is_bit_identical(big_corpus):
+    x, y = big_corpus.frame_data()
+    hx, hy = big_corpus.heldout_frame_data()
+    net = DNN([CFG.input_dim, 16, big_corpus.n_states])
+    hf_config = HFConfig(max_iterations=2)
+    src = FrameSource(
+        net, CrossEntropyLoss(), x, y, hx, hy, curvature_fraction=0.05, seed=9
+    )
+    serial = HessianFreeOptimizer(src, hf_config).run(net.init_params(0))
+    lens = [u.n_frames for u in big_corpus.train_utts]
+    dist = train_threaded_hf(
+        net, CrossEntropyLoss(), make_frame_shards(x, y, hx, hy, lens, 1),
+        net.init_params(0), hf_config, curvature_fraction=0.05, seed=9,
+    )
+    assert np.array_equal(serial.theta, dist.theta)
+    assert serial.heldout_trajectory == dist.heldout_trajectory
+
+
+def test_one_worker_sequence_run_is_bit_identical(big_corpus):
+    xs, spans = big_corpus.sequence_data()
+    hxs, hspans = big_corpus.heldout_sequence_data()
+    net = DNN([CFG.input_dim, 16, big_corpus.n_states])
+    loss = SequenceMMILoss(
+        big_corpus.sampler.log_transitions(),
+        big_corpus.sampler.log_initial(),
+        kappa=0.7,
+    )
+    hf_config = HFConfig(max_iterations=2)
+    src = SequenceSource(
+        net, loss, xs, spans, hxs, hspans, curvature_fraction=0.2, seed=4
+    )
+    serial = HessianFreeOptimizer(src, hf_config).run(net.init_params(1))
+    dist = train_threaded_hf(
+        net, loss, make_sequence_shards(xs, spans, hxs, hspans, 1),
+        net.init_params(1), hf_config, curvature_fraction=0.2, seed=4,
+    )
+    assert np.array_equal(serial.theta, dist.theta)
+    assert serial.heldout_trajectory == dist.heldout_trajectory
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.5])
+def test_bad_curvature_fraction_raises_before_threads_start(frame_setup, fraction):
+    corpus, net, x, y, hx, hy = frame_setup
+    lens = [u.n_frames for u in corpus.train_utts]
+    shards = make_frame_shards(x, y, hx, hy, lens, 2)
+    with pytest.raises(ValueError, match="curvature_fraction"):
+        train_threaded_hf(
+            net, CrossEntropyLoss(), shards, net.init_params(0),
+            HFConfig(max_iterations=1), curvature_fraction=fraction,
+        )
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_master_source_publishes_gn_sample_size(frame_setup, workers):
+    """``hf.gn_sample_size`` from the distributed source is the sampled
+    frame count summed over workers — the serial source's series."""
+    corpus, net, x, y, hx, hy = frame_setup
+    hf_config = HFConfig(max_iterations=2)
+    loss = CrossEntropyLoss()
+
+    serial_obs = MetricsRegistry()
+    src = FrameSource(net, loss, x, y, hx, hy, curvature_fraction=0.05, seed=9)
+    HessianFreeOptimizer(src, hf_config, obs=serial_obs).run(net.init_params(0))
+
+    dist_obs = MetricsRegistry()
+    total = x.shape[0]
+
+    def master(comm):
+        source = MasterSource(
+            comm, total_train_frames=total, curvature_fraction=0.05,
+            curvature_total=total, seed=9,
+        )
+        try:
+            return HessianFreeOptimizer(source, hf_config, obs=dist_obs).run(
+                net.init_params(0)
+            )
+        finally:
+            source.stop()
+
+    def worker(shard):
+        source = shard.source(net, loss, 0.05, 9)
+        return lambda comm: worker_loop(comm, source, shard.global_ids, total)
+
+    lens = [u.n_frames for u in corpus.train_utts]
+    shards = make_frame_shards(x, y, hx, hy, lens, workers)
+    run_threaded(workers + 1, [master] + [worker(s) for s in shards])
+    expected = serial_obs.get("hf.gn_sample_size").values
+    assert expected and all(v > 0 for v in expected)
+    assert dist_obs.get("hf.gn_sample_size").values == expected
+
+
 def test_shard_construction_invariants(frame_setup):
     corpus, net, x, y, hx, hy = frame_setup
     lens = [u.n_frames for u in corpus.train_utts]
@@ -131,7 +235,7 @@ def test_global_sample_partition_invariant(frame_setup):
     for workers in (2, 5):
         shards = make_frame_shards(x, y, hx, hy, lens, workers)
         rows = np.concatenate(
-            [s.global_ids[s.sample_rows(sample)] for s in shards]
+            [s.global_ids[np.isin(s.global_ids, sample)] for s in shards]
         )
         assert sorted(rows.tolist()) == sorted(sample.tolist())
 
