@@ -19,7 +19,6 @@ per worker such that they all receive equal amount of data."
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -90,21 +89,87 @@ def balanced_partition(lengths: Sequence[int], n_workers: int) -> Assignment:
 
     Ties break on worker index, so the result is deterministic for a
     given length table — required for cross-backend reproducibility.
+    The result is exactly that of the textbook loop (pop the lightest
+    ``(load, worker)`` off a heap, push it back with the utterance
+    added), computed one run of equal lengths at a time:
+
+    * while every load is zero, ties hand the ``n_workers`` longest
+      utterances to workers ``0, 1, ...`` in order;
+    * after that, the heap would give the ``c`` utterances of one length
+      ``L`` the ``c`` smallest slots ``(load + k*L, worker)``, ``k >= 0``,
+      in ascending order.  A bisection finds the threshold ``T`` of the
+      ``c``-th slot over the workers with ``load <= T``; each of those
+      takes its slots below ``T``, and the lowest-index ones with a slot
+      at exactly ``T`` take the rest.  Only that prefix of the
+      ``(load, worker)`` order moves, and it is merged back into the
+      workers whose load it overtakes.
+
+    A corpus has a few hundred distinct lengths, so this is a few
+    hundred array steps instead of one heap operation per utterance.
     """
     arr = _checked_lengths(lengths, n_workers)
-    lens = arr.tolist()
-    # lexsort's last key is primary: sort by -length, ties by index —
-    # identical order to sorted(..., key=lambda i: (-lengths[i], i)) but
-    # vectorized (the pure-Python sort dominated planning time at scale)
-    order = np.lexsort((np.arange(arr.size), -arr)).tolist()
-    heap: list[tuple[int, int]] = [(0, w) for w in range(n_workers)]
-    heapq.heapify(heap)
-    owner = [0] * arr.size
-    for i in order:
-        load, w = heapq.heappop(heap)
-        owner[i] = w
-        heapq.heappush(heap, (load + lens[i], w))
-    return Assignment(np.array(owner, dtype=np.int64), arr, n_workers)
+    p = n_workers
+    # lexsort's last key is primary: sort by -length, ties by index
+    order = np.lexsort((np.arange(arr.size), -arr))
+    owner = np.empty(arr.size, dtype=np.int64)
+    owner[order[:p]] = np.arange(p)
+    # workers in (load, worker) order: `load` ascending, ties by index
+    first = arr[order[:p]]
+    worker = np.argsort(first, kind="stable")
+    load = first[worker]
+    rest = order[p:]
+    rest_len = arr[rest]
+    # starts of the runs of equal length (lengths are >= 1)
+    runs = np.flatnonzero(np.diff(rest_len, prepend=0)).tolist()
+    for a, b in zip(runs, [*runs[1:], rest.size]):
+        step = int(rest_len[a])
+        c = b - a
+        # smallest t holding c slots; `hi` holds c slots on the lightest
+        # worker alone, and also on the c (or all p) lightest ones
+        lo = int(load[0])
+        hi = min(
+            lo + (c - 1) * step, int(load[min(c, p) - 1]) + (c - 1) // p * step
+        )
+        cand = load[: load.searchsorted(hi, "right")]
+        while lo < hi:
+            mid = (lo + hi) // 2
+            q = cand[: cand.searchsorted(mid, "right")]
+            if int(((mid - q) // step).sum()) + q.size >= c:
+                hi = mid
+            else:
+                lo = mid + 1
+        t = lo
+        k = int(cand.searchsorted(t, "right"))
+        q = load[:k]
+        w = worker[:k]
+        take = (t - 1 - q) // step + 1  # slots strictly below the threshold
+        at_t = (t - q) % step == 0  # a slot at exactly the threshold
+        need = c - int(take.sum())
+        ties = w[at_t]
+        if need < ties.size:
+            at_t &= w <= np.partition(ties, need - 1)[need - 1]
+        take += at_t
+        # the workers that take a slot are a prefix of the (load, worker) order
+        m = int(np.count_nonzero(take))
+        take, q, w = take[:m], q[:m], w[:m]
+        if m == c:  # one slot each, already in (load, worker) order
+            owner[rest[a:b]] = w
+        else:
+            by = np.repeat(np.arange(m), take)
+            k_th = np.arange(c) - np.repeat(np.cumsum(take) - take, take)
+            slot_w = w[by]
+            owner[rest[a:b]] = slot_w[np.lexsort((slot_w, q[by] + k_th * step))]
+        # new loads are >= t, so key them relative to it and merge with
+        # the unmoved workers they can overtake
+        new = q + take * step
+        end = m + int(load[m:].searchsorted(new.max(), "right"))
+        keys = np.concatenate(
+            ((new - t) * p + w, (load[m:end] - t) * p + worker[m:end])
+        )
+        keys.sort()
+        load[:end] = keys // p + t
+        worker[:end] = keys % p
+    return Assignment(owner, arr, n_workers)
 
 
 def imbalance(assignment: Assignment) -> float:

@@ -25,7 +25,7 @@ Bit-identity discipline (DESIGN.md §6e):
   algebraically equal rewrite;
 * per-edge message costs come from the network model's *own* scalar
   ``p2p_time``/``wire_time``/``injection_time`` calls, evaluated once
-  per cost-equivalence class (same-node flag + torus hop count + byte
+  per cost-equivalence class (torus hop count, -1 for same-node, + byte
   count) and gathered back over the edge arrays — the formulas are
   never re-derived in numpy;
 * per-rank clock folds follow each rank's program order: the binomial
@@ -142,40 +142,50 @@ def _torus_hops(dims: tuple[int, ...], a: np.ndarray, b: np.ndarray) -> np.ndarr
     return total
 
 
+def _hop_class(network: Any, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Cost class of every ``(src, dst)`` edge: the torus hop count, -1
+    for a same-node edge; 0 for every edge of the uniform model (tree
+    edges never self-send).  Classes lie in ``[-1, sum(dims) // 2]``."""
+    if type(network) is UniformNetwork:
+        return np.zeros(src.size, dtype=np.int64)
+    rpn = network.ranks_per_node
+    node_s = src // rpn
+    node_d = dst // rpn
+    hops = _torus_hops(network.torus.dims, node_s, node_d)
+    hops[node_s == node_d] = -1
+    return hops
+
+
 def _edge_costs(
-    network: Any, src: np.ndarray, dst: np.ndarray, nbytes: Any
+    network: Any, src: np.ndarray, dst: np.ndarray, hop: np.ndarray, nbytes: Any
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-edge ``(transfer, wire)`` arrays via the model's own scalar calls.
 
-    Edges are grouped into cost-equivalence classes — ``(key, nbytes)``
-    where ``key`` is the torus hop count (-1 for same-node) or a single
-    class on the uniform model — and one representative edge per class is
-    priced with ``p2p_time``/``wire_time``.  Exact because both eligible
-    models' costs depend only on the class key and the byte count.
+    ``hop`` is :func:`_hop_class` of the edges; both eligible models'
+    costs depend only on it and the byte count, so the first edge of
+    each ``(hop, nbytes)`` class is priced with ``p2p_time`` /
+    ``wire_time`` and the prices are gathered back over the edges.  A
+    scalar ``nbytes`` indexes the small hop range directly; a per-edge
+    ``nbytes`` array (the load phase) folds its byte class into the key.
     """
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    n = src.size
+    n = hop.size
     sizes = np.broadcast_to(np.asarray(nbytes, dtype=np.int64), (n,))
-    if type(network) is UniformNetwork:
-        key = np.zeros(n, dtype=np.int64)  # tree edges never self-send
+    if np.ndim(nbytes) == 0:
+        cls = hop + 1
+        first = np.full(int(cls.max()) + 1, -1, dtype=np.int64)
+        first[cls[::-1]] = np.arange(n - 1, -1, -1)  # first edge of each class
     else:
-        rpn = network.ranks_per_node
-        node_s = src // rpn
-        node_d = dst // rpn
-        hops = _torus_hops(network.torus.dims, node_s, node_d)
-        key = np.where(node_s == node_d, np.int64(-1), hops)
-    classes = np.stack([key, sizes], axis=1)
-    uniq, inv = np.unique(classes, axis=0, return_inverse=True)
-    first = np.empty(len(uniq), dtype=np.int64)
-    first[inv[::-1]] = np.arange(n - 1, -1, -1)  # first edge of each class
-    transfer = np.empty(len(uniq), dtype=np.float64)
-    wire = np.empty(len(uniq), dtype=np.float64)
-    for c, j in enumerate(first):
-        s, d, b = int(src[j]), int(dst[j]), int(sizes[j])
-        transfer[c] = network.p2p_time(s, d, b)
-        wire[c] = network.wire_time(s, d, b)
-    return transfer[inv], wire[inv]
+        _, byte_cls = np.unique(sizes, return_inverse=True)
+        key = byte_cls * (int(hop.max()) + 2) + (hop + 1)
+        _, first, cls = np.unique(key, return_index=True, return_inverse=True)
+    transfer = np.zeros(first.size, dtype=np.float64)
+    wire = np.zeros(first.size, dtype=np.float64)
+    for c, j in enumerate(first.tolist()):
+        if j >= 0:
+            s, d, b = int(src[j]), int(dst[j]), int(sizes[j])
+            transfer[c] = network.p2p_time(s, d, b)
+            wire[c] = network.wire_time(s, d, b)
+    return transfer[cls], wire[cls]
 
 
 # ----------------------------------------------------------------- executor
@@ -210,12 +220,14 @@ class _VectorRun:
         self.busy_dn = np.zeros(p, dtype=np.float64)
 
         self.levels = binomial_levels(p)
-        # (transfer, wire) per level, shared by both sweep directions:
-        # both models' costs are symmetric in (src, dst).
-        self.cost_sets = [
-            [_edge_costs(network, s, r, _SYNC_BYTES) for _, s, r in self.levels],
-            [_edge_costs(network, s, r, _LOSS_BYTES) for _, s, r in self.levels],
-        ]
+        # (transfer, wire) per level and payload size, shared by both
+        # sweep directions: both models' costs are symmetric in (src, dst).
+        # Each level's edges are classified once for both sizes.
+        self.cost_sets: tuple[list, list] = ([], [])
+        for _m, s, r in self.levels:
+            hop = _hop_class(network, s, r)
+            self.cost_sets[0].append(_edge_costs(network, s, r, hop, _SYNC_BYTES))
+            self.cost_sets[1].append(_edge_costs(network, s, r, hop, _LOSS_BYTES))
         self.inj_sets = [
             network.injection_time(_SYNC_BYTES),
             network.injection_time(_LOSS_BYTES),
@@ -345,7 +357,8 @@ class _VectorRun:
             # (ctx.send yields each one); cumsum IS that left fold
             csum = np.cumsum(injs)
             t_send = np.concatenate(([0.0], csum[:-1]))
-            transfer, wire = _edge_costs(network, src, dst, shard)
+            hop = _hop_class(network, src, dst)
+            transfer, wire = _edge_costs(network, src, dst, hop, shard)
             end_wire = t_send + wire  # first use of every (0, w) pair
             delay = np.maximum(t_send + transfer, end_wire) - t_send
             arrival = t_send + np.maximum(delay, injs)

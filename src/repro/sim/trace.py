@@ -55,7 +55,7 @@ class Tracer:
         self._all: dict[str, float] = {}
         # bulk (vectorized) aggregates: label -> [(base_row, ndarray)]
         self._bulk: dict[str, list[tuple[int, object]]] = {}
-        self._bulk_index: dict[str, int] = {}
+        self._bulk_index: dict[str, int] | None = None
         self._bulk_names: list[str] = []
         if spans:
             for s in spans:
@@ -87,10 +87,17 @@ class Tracer:
         ``names[i]`` is the process name whose durations live at row
         ``i`` of every array later passed to :meth:`add_bulk` (offset by
         that call's ``base``).  The vectorized executor registers
-        ``["rank0", ..., "rankN-1"]`` once per run.
+        ``["rank0", ..., "rankN-1"]`` once per run; the name -> row
+        index is built by the first per-process query that needs it.
         """
         self._bulk_names = list(names)
-        self._bulk_index = {n: i for i, n in enumerate(self._bulk_names)}
+        self._bulk_index = None
+
+    def _row_index(self) -> dict[str, int]:
+        index = self._bulk_index
+        if index is None:
+            index = self._bulk_index = {n: i for i, n in enumerate(self._bulk_names)}
+        return index
 
     def add_bulk(self, label: str, base: int, values) -> None:
         """Fold per-process durations for ``label`` in one array op.
@@ -151,7 +158,7 @@ class Tracer:
                 out[label] = acc
             return out
         out = dict(self._by_process.get(process, ()))
-        idx = self._bulk_index.get(process)
+        idx = self._row_index().get(process)
         if idx is not None:
             for label, segments in self._bulk.items():
                 for base, arr in segments:
@@ -190,9 +197,10 @@ class Tracer:
         """Names of processes with at least one span or bulk row."""
         names = list(self._by_process)
         seen = set(names)
+        index = self._row_index()
         for n in self._bulk_names:
             if n not in seen and any(
-                base <= self._bulk_index[n] < base + len(arr)  # type: ignore[arg-type]
+                base <= index[n] < base + len(arr)  # type: ignore[arg-type]
                 for segs in self._bulk.values()
                 for base, arr in segs
             ):

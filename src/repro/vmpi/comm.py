@@ -24,12 +24,17 @@ by ``(source, tag)`` key so the common exact-match receive is an O(1)
 dict lookup + deque pop, and wildcard receives (``ANY_SOURCE`` /
 ``ANY_TAG``) fall back to a min-over-candidate-keys scan that preserves
 the oldest-matching-message-wins FIFO order of a linear inbox exactly.
+A rank's inbox is built the first time a message is sent to it or it
+receives, so a communicator whose ranks never exchange a message (the
+vectorized SPMD executor's) costs no per-rank objects.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, NamedTuple
+
+import numpy as np
 
 from repro.analysis.runtime import CollectiveOrderChecker
 from repro.sim.engine import Engine, Get, GetTimeout, SimError, Timeout
@@ -136,11 +141,15 @@ class Mailbox:
     )
 
     def __init__(
-        self, engine: Engine, name: str, rank_names: list[str] | None = None
+        self,
+        engine: Engine,
+        name: str,
+        rank_names: list[str] | None = None,
+        obs_log: list | None = None,
     ) -> None:
         self.engine = engine
         self.name = name
-        self.obs_log = None
+        self.obs_log = obs_log
         """Optional :class:`~repro.obs.hooks.CommStats` event log; when
         set, every message consumed out of this inbox (matched on arrival
         or popped by a receive) appends a ``(src, dst, -1)`` entry so
@@ -260,6 +269,30 @@ class Mailbox:
         return self._rank_names[command.source]
 
 
+class _Inboxes(dict):
+    """Rank -> :class:`Mailbox`, each built on its first lookup.
+
+    A hit is one dict subscript; only a miss runs Python
+    (``__missing__``), once per rank.
+    """
+
+    __slots__ = ("engine", "rank_names", "obs_log")
+
+    def __init__(
+        self, engine: Engine, rank_names: list[str], obs_log: list | None
+    ) -> None:
+        super().__init__()
+        self.engine = engine
+        self.rank_names = rank_names
+        self.obs_log = obs_log
+
+    def __missing__(self, rank: int) -> Mailbox:
+        box = self[rank] = Mailbox(
+            self.engine, f"inbox[{rank}]", self.rank_names, self.obs_log
+        )
+        return box
+
+
 class VComm:
     """A communicator: ``size`` ranks, each with an inbox, over a network."""
 
@@ -304,10 +337,6 @@ class VComm:
         :class:`~repro.analysis.runtime.CollectiveOrderError` naming the
         offending ranks instead of deadlocking opaquely."""
         self._rank_names = [f"rank{r}" for r in range(size)]
-        self._inboxes: list[Mailbox] = [
-            Mailbox(self.engine, f"inbox[{r}]", self._rank_names)
-            for r in range(size)
-        ]
         self.obs = obs
         """Attached :class:`~repro.obs.metrics.MetricsRegistry`, or None."""
         self.coll_policy = coll_policy
@@ -341,9 +370,9 @@ class VComm:
             self.coll_stats = CollectiveStats().attach(obs)
             self.comm_stats = CommStats(size).attach(obs)
             self._obs_log = self.comm_stats.log
-            for box in self._inboxes:
-                box.obs_log = self._obs_log
             self.engine.attach_obs(obs)
+        self._inboxes = _Inboxes(self.engine, self._rank_names, self._obs_log)
+        """Rank inboxes, built lazily (see :class:`_Inboxes`)."""
         self._sends = 0
         self._bytes_sent = 0
         # Hoisted network-model lookups: one getattr per communicator
@@ -453,7 +482,7 @@ class VComm:
             raise ValueError(
                 f"got {len(times)} finish times for {self.size} ranks"
             )
-        self._rank_finish_times = [float(t) for t in times]
+        self._rank_finish_times = np.asarray(times, dtype=np.float64).tolist()
 
 
 class RankCtx:
@@ -467,7 +496,8 @@ class RankCtx:
         self.comm = comm
         self.rank = rank
         self._name = comm._rank_names[rank]
-        self._inbox = comm._inboxes[rank]
+        self._inbox: Mailbox | None = None
+        """This rank's inbox, looked up (and so built) on its first receive."""
         self._coll_seq = 0
         """Per-rank collective call counter; gives every collective a
         unique reserved tag block (see :func:`repro.vmpi.collectives._next_tag`)."""
@@ -547,7 +577,10 @@ class RankCtx:
         ctx.recv_cmd(src, tag)`` to skip one generator frame per message;
         valid only when the communicator's ``recv_timeout`` is ``None``
         (otherwise :meth:`recv`'s timeout wrapping is load-bearing)."""
-        return Get(self._inbox, source=source, tag=tag)
+        box = self._inbox
+        if box is None:
+            box = self._inbox = self.comm._inboxes[self.rank]
+        return Get(box, source=source, tag=tag)
 
     def recv(
         self,
@@ -568,10 +601,13 @@ class RankCtx:
             raise ValueError(f"recv from invalid rank {source}")
         if timeout is _USE_COMM_DEFAULT:
             timeout = comm.recv_timeout
+        box = self._inbox
+        if box is None:
+            box = self._inbox = comm._inboxes[self.rank]
         t0 = comm.engine._now
         try:
             msg = yield Get(
-                self._inbox,
+                box,
                 timeout=timeout,  # type: ignore[arg-type]
                 source=None if source == ANY_SOURCE else source,
                 tag=None if tag == ANY_TAG else tag,

@@ -143,6 +143,46 @@ def test_partitions_match_reference(lengths, below, workers, near_n):
     the regime of the 262144-rank simulation."""
     n = len(lengths)
     w = max(1, n - below) if near_n else min(workers, n)
+    _check_against_reference(lengths, w)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    lengths=st.lists(st.integers(1, 4), min_size=1, max_size=400),
+    workers=st.integers(1, 64),
+)
+@example(lengths=[4, 4, 1, 1, 1, 1, 1], workers=3)
+def test_partitions_match_reference_many_ties(lengths, workers):
+    """Few distinct lengths and many workers: long runs of equal length
+    whose c-th slot threshold T is shared by several workers, including
+    workers below T that also own a slot at exactly T (in the example,
+    T = 4 is a slot of workers 0 and 1 at load 4 and of worker 2 at
+    load 1; worker 0 takes it)."""
+    _check_against_reference(lengths, min(workers, len(lengths)))
+
+
+@pytest.mark.parametrize("workers", [1024, 16384])
+def test_balanced_matches_reference_on_50h_table(workers):
+    """The benchmark's 50-hour length table (299,527 utterances, a few
+    hundred distinct lengths), exactly as the simulator partitions it."""
+    from repro.bgq import RunShape
+    from repro.dist import IterationScript, SimJobConfig
+    from repro.dist.simulated import _draw_utterance_lengths
+    from repro.harness.scaling import default_workload
+
+    cfg = SimJobConfig(
+        shape=RunShape.parse("1024-4-16"),
+        workload=default_workload(50.0),
+        script=IterationScript((10,), (3,), represented_iterations=30),
+        seed=7,
+    )
+    lengths = _draw_utterance_lengths(cfg)
+    got = balanced_partition(lengths, workers).owner
+    assert got.tolist() == _reference_lpt(lengths.tolist(), workers)
+
+
+def _check_against_reference(lengths, w):
+    n = len(lengths)
     balanced = balanced_partition(lengths, w)
     naive = naive_partition(lengths, w)
     assert balanced.owner.tolist() == _reference_lpt(lengths, w)

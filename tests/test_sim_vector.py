@@ -251,3 +251,62 @@ def test_run_shape_unchanged_by_vector_default():
     res = simulate_training(_cfg("64-4-16"), obs=reg)
     assert _vector_phases(reg) > 0
     assert res.execution_path == "vector"
+
+
+@pytest.mark.parametrize("model", ["torus", "uniform"])
+def test_edge_costs_match_per_edge_model_calls(model):
+    """Class-indexed pricing equals one ``p2p_time``/``wire_time`` call
+    per edge: every binomial level at p=4096 with both tree payloads,
+    and the load phase's per-worker ``shard_bytes`` array."""
+    import numpy as np
+
+    from repro.bgq.network import TorusNetworkModel
+    from repro.dist.simulated import _build_plan
+    from repro.dist.vectorized import (
+        _LOSS_BYTES,
+        _SYNC_BYTES,
+        _edge_costs,
+        _hop_class,
+    )
+    from repro.vmpi.collectives import binomial_levels
+    from repro.vmpi.costmodel import UniformNetwork
+
+    p = 4096
+    network = (
+        TorusNetworkModel(nodes=p // 4, ranks_per_node=4)
+        if model == "torus"
+        else UniformNetwork()
+    )
+
+    def check(src, dst, nbytes):
+        hop = _hop_class(network, src, dst)
+        transfer, wire = _edge_costs(network, src, dst, hop, nbytes)
+        sizes = np.broadcast_to(nbytes, src.shape)
+        edges = list(zip(src.tolist(), dst.tolist(), sizes.tolist()))
+        assert transfer.tolist() == [network.p2p_time(*e) for e in edges]
+        assert wire.tolist() == [network.wire_time(*e) for e in edges]
+
+    for _mask, leaves, parents in binomial_levels(p):
+        for nbytes in (_SYNC_BYTES, _LOSS_BYTES):
+            check(leaves, parents, nbytes)
+    shard = _build_plan(_cfg(f"{p}-4-16")).shard_bytes
+    assert np.unique(shard).size > 1
+    check(np.zeros(p - 1, dtype=np.int64), np.arange(1, p, dtype=np.int64), shard)
+
+
+def test_vector_run_builds_no_mailboxes(monkeypatch):
+    """The vector path never exchanges a message, so its communicator
+    builds no per-rank inbox."""
+    from repro.vmpi.comm import Mailbox
+
+    built = []
+    init = Mailbox.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[1])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Mailbox, "__init__", counting_init)
+    res = _run("16384-4-16", vector=True)
+    assert res.execution_path == "vector"
+    assert built == []

@@ -85,6 +85,31 @@ def test_recv_without_send_deadlocks():
         run_spmd(2, prog)
 
 
+def test_mailboxes_built_only_for_receiving_ranks():
+    """Inboxes are built on first use: with obs attached, only the ranks
+    that receive get one, and each logs consumption into the comm stats."""
+    from repro.obs import MetricsRegistry
+
+    comm = VComm(8, obs=MetricsRegistry())
+
+    def prog(ctx):
+        if ctx.rank == 0:
+            yield from ctx.send(3, "a", tag=1)
+            yield from ctx.send(5, "b", tag=2)
+        elif ctx.rank == 3:
+            yield from ctx.recv(source=0, tag=1)
+        elif ctx.rank == 5:
+            yield from ctx.recv(source=ANY_SOURCE, tag=ANY_TAG)
+        else:
+            yield from ctx.compute(1.0)
+
+    comm.run(prog)
+    assert sorted(comm._inboxes) == [3, 5]
+    log = comm.comm_stats.log
+    assert all(box.obs_log is log for box in comm._inboxes.values())
+    assert [e for e in log if e[2] == -1] == [(0, 3, -1), (0, 5, -1)]
+
+
 def test_transfer_time_charged_to_receiver():
     net = UniformNetwork(latency=1e-3, bandwidth=1e6)
 
